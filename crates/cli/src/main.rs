@@ -247,6 +247,23 @@ fn print_front(front: &[FrontRow]) {
     }
 }
 
+/// [`print_front`] for an engine-side front.
+fn print_pareto(front: &ParetoResult) {
+    let rows: Vec<FrontRow> = front
+        .points
+        .iter()
+        .map(|p| {
+            let values = front
+                .objectives
+                .iter()
+                .copied()
+                .zip(p.values.iter().copied());
+            (p.island, p.objective, values.collect(), p.parts)
+        })
+        .collect();
+    print_front(&rows);
+}
+
 fn parse_args() -> Result<Args, String> {
     let mut graph_path: Option<String> = None;
     let mut k: Option<usize> = None;
@@ -687,18 +704,31 @@ fn submit_main(args: &[String]) -> ExitCode {
     let Some(format) = ff_service::GraphFormat::parse(&format) else {
         return usage_err("unknown format (metis|edgelist)");
     };
+    let needed = ff_engine::islands_to_cover(&objectives);
+    if ff_engine::distinct_objectives(&objectives).len() > 1 && islands < needed {
+        eprintln!("ffpart: raising --islands {islands} → {needed} (covering every objective)");
+        islands = needed;
+    }
+    let job = ff_service::JobRequest {
+        instance: instance.unwrap_or_else(|| graph_path.clone()),
+        k,
+        objective: objectives[0],
+        objectives: (objectives.len() > 1).then(|| objectives.clone()),
+        migration,
+        seed,
+        steps,
+        deadline_ms,
+        islands,
+        chunk,
+        assignment: true,
+        // `0` asks the server for the engine's default coarse target.
+        multilevel: multilevel.then(|| coarsen_until.unwrap_or(0)),
+    };
     if let Some(list) = workers {
         // Federated mode: this process is the coordinator, the listed
-        // servers are the workers. The deterministic contract needs a
-        // pure step budget and the flat solver path.
+        // servers are the workers.
         if connect.is_some() {
             return usage_err("--workers and --connect are mutually exclusive");
-        }
-        if deadline_ms.is_some() || steps.is_none() {
-            return usage_err("--workers needs a pure --steps budget (no --deadline-ms)");
-        }
-        if multilevel {
-            return usage_err("--workers does not combine with --multilevel");
         }
         if cancel_after_ms.is_some() {
             return usage_err("--cancel-after-ms is not supported with --workers");
@@ -714,45 +744,10 @@ fn submit_main(args: &[String]) -> ExitCode {
         if addrs.is_empty() {
             return usage_err("--workers needs a comma list of host:port addresses");
         }
-        return submit_federated(
-            addrs,
-            graph_path,
-            instance,
-            format,
-            k,
-            objectives,
-            migration,
-            steps.unwrap(),
-            seed,
-            islands,
-            chunk,
-            write,
-            quiet,
-        );
+        return submit_federated(addrs, &graph_path, format, &job, write, quiet);
     }
     let Some(connect) = connect else {
         return usage_err("missing --connect");
-    };
-    let instance = instance.unwrap_or_else(|| graph_path.clone());
-    let needed = ff_engine::islands_to_cover(&objectives);
-    if ff_engine::distinct_objectives(&objectives).len() > 1 && islands < needed {
-        eprintln!("ffpart: raising --islands {islands} → {needed} (covering every objective)");
-        islands = needed;
-    }
-    let job = ff_service::JobRequest {
-        instance,
-        k,
-        objective: objectives[0],
-        objectives: (objectives.len() > 1).then(|| objectives.clone()),
-        migration,
-        seed,
-        steps,
-        deadline_ms,
-        islands,
-        chunk,
-        assignment: true,
-        // `0` asks the server for the engine's default coarse target.
-        multilevel: multilevel.then(|| coarsen_until.unwrap_or(0)),
     };
     // With `--retry-ms`, transport failures and admission rejections
     // restart the whole attempt (connect → load → submit → stream) until
@@ -966,29 +961,19 @@ fn submit_attempt(
 /// `ffpart submit --workers`: run one job federated across several
 /// already-running servers, this process acting as the coordinator.
 /// Byte-identical to submitting the same job to a single server: the
-/// coordinator fixes seeds and interval exactly as the server's job
-/// driver would (`chunk` doubles as the migration interval, a single
-/// island keeps the root seed).
-#[allow(clippy::too_many_arguments)]
+/// coordinator runs the server's own [`job_solver`](ff_service::job::job_solver).
 fn submit_federated(
     addrs: Vec<String>,
-    graph_path: String,
-    instance: Option<String>,
+    graph_path: &str,
     format: ff_service::GraphFormat,
-    k: usize,
-    objectives: Vec<Objective>,
-    migration: MigrationPolicyId,
-    steps: u64,
-    seed: u64,
-    mut islands: usize,
-    chunk: u64,
+    job: &ff_service::JobRequest,
     write: Option<String>,
     quiet: bool,
 ) -> ExitCode {
     // The coordinator needs the graph locally (reduction, molecule
     // reconstruction) and the servers don't share our filesystem, so
     // read the file once and ship it inline.
-    let data = match std::fs::read_to_string(&graph_path) {
+    let data = match std::fs::read_to_string(graph_path) {
         Ok(d) => d,
         Err(e) => {
             eprintln!("ffpart submit: cannot read {graph_path}: {e}");
@@ -1006,51 +991,29 @@ fn submit_federated(
             return ExitCode::from(3);
         }
     };
-    if k == 0 || k > g.num_vertices() {
+    if job.k == 0 || job.k > g.num_vertices() {
         eprintln!(
             "ffpart submit: -k must be in 1..={} for this graph",
             g.num_vertices()
         );
         return ExitCode::from(2);
     }
-    if islands == 0 {
-        eprintln!("ffpart submit: --islands must be at least 1");
+    let solver = ff_service::job::job_solver(job, &g);
+    if let Err(e) = ff_service::wire_setups(&solver) {
+        eprintln!("ffpart submit: {e}");
         return ExitCode::from(2);
     }
-    let needed = ff_engine::islands_to_cover(&objectives);
-    let pareto = ff_engine::distinct_objectives(&objectives).len() > 1;
-    if pareto && islands < needed {
-        eprintln!("ffpart: raising --islands {islands} → {needed} (covering every objective)");
-        islands = needed;
-    }
-    let spec = ff_service::DistSpec {
-        instance: instance.unwrap_or_else(|| graph_path.clone()),
-        source: ff_service::GraphSource::Data(data),
-        format,
-        k,
-        steps,
-        // Match the server's job driver: one island keeps the root
-        // seed, ensembles derive per-island seeds from it.
-        seeds: if islands == 1 {
-            vec![seed]
-        } else {
-            ff_engine::derive_seeds(seed, islands)
-        },
-        objectives: (0..islands)
-            .map(|i| objectives[i % objectives.len()])
-            .collect(),
-        interval: chunk,
-        migration,
-        pareto,
-    };
     eprintln!(
-        "ffpart: federating {islands} island(s) across {} server(s)",
+        "ffpart: federating {} island(s) across {} server(s)",
+        job.islands,
         addrs.len()
     );
     let started = std::time::Instant::now();
-    let result = ff_service::solve_distributed(
-        &g,
-        &spec,
+    let result = ff_service::solve_on_workers(
+        solver,
+        &job.instance,
+        &ff_service::GraphSource::Data(data),
+        format,
         &ff_service::WorkerSet::Connect { addrs },
         &ff_service::DistOpts::default(),
         &mut |island, news| {
@@ -1070,24 +1033,7 @@ fn submit_federated(
         }
     };
     if let Some(front) = &result.pareto {
-        let rows: Vec<FrontRow> = front
-            .points
-            .iter()
-            .map(|p| {
-                (
-                    p.island,
-                    p.objective,
-                    front
-                        .objectives
-                        .iter()
-                        .copied()
-                        .zip(p.values.iter().copied())
-                        .collect(),
-                    p.parts,
-                )
-            })
-            .collect();
-        print_front(&rows);
+        print_pareto(front);
     }
     println!(
         "done status=completed value={:.6} parts={} steps={} migrations={} time={}ms",
@@ -1112,36 +1058,52 @@ fn submit_federated(
     ExitCode::SUCCESS
 }
 
-/// One-shot `--workers`: shard the island ensemble across spawned
-/// `ffpart worker` child processes. Byte-identical to the same run
-/// without `--workers` — same seeds, same epoch schedule — which is why
-/// it insists on the deterministic budget shape (`--steps`, no `-b`).
-fn run_distributed_oneshot(
-    g: &Graph,
+/// The fusion–fission [`Solver`] the flags describe: the one chain both
+/// the in-process run and `--workers` drive.
+fn ff_solver<'g>(
+    g: &'g Graph,
     args: &Args,
     islands: usize,
-    pareto_run: bool,
+    budget: MethodBudget,
+    multilevel: Option<ff_engine::MultilevelOpts>,
+) -> Solver<'g> {
+    let mut solver = Solver::on(g)
+        .k(args.k)
+        .objectives(args.objectives.clone())
+        .islands(islands)
+        .threads(args.threads)
+        .migration(args.migration.build())
+        .stop(StopCondition::new(budget.steps, budget.time))
+        .seed(args.seed);
+    if ff_engine::distinct_objectives(&args.objectives).len() > 1 {
+        solver = solver.reduction(ParetoFront);
+    }
+    match multilevel {
+        Some(opts) => solver.multilevel(opts),
+        // A lone flat island is the plain fusion–fission run, seeded with
+        // the root seed itself.
+        None if islands == 1 => solver.island_seeds([args.seed]),
+        None => solver,
+    }
+}
+
+/// One-shot `--workers`: `solver`'s islands sharded across spawned
+/// `ffpart worker` child processes. Byte-identical to running `solver`
+/// in-process, which is why it needs what the wire can express (a pure
+/// step budget, a flat run).
+fn run_on_workers(
+    solver: Solver<'_>,
+    args: &Args,
     workers_spec: &str,
-) -> Result<(ff_partition::Partition, Duration), ExitCode> {
+) -> Result<ff_engine::EnsembleResult, ExitCode> {
     let fail = |code: u8, msg: &str| {
         eprintln!("ffpart: {msg}");
-        Err::<(ff_partition::Partition, Duration), ExitCode>(ExitCode::from(code))
+        ExitCode::from(code)
     };
-    if args.method != MethodId::FusionFission {
-        return fail(
-            2,
-            "--workers needs -m ff (it distributes the fusion–fission ensemble)",
-        );
-    }
-    if args.multilevel {
-        return fail(2, "--workers does not combine with --multilevel");
-    }
-    let Some(steps) = args.steps else {
-        return fail(2, "--workers needs a pure step budget (--steps without -b)");
+    let islands = match ff_service::wire_setups(&solver) {
+        Ok(setups) => setups.len(),
+        Err(e) => return Err(fail(2, &e)),
     };
-    if args.budget_secs.is_some() {
-        return fail(2, "--workers needs a pure step budget (--steps without -b)");
-    }
     let workers = if workers_spec == "auto" {
         std::thread::available_parallelism()
             .map(|n| n.get())
@@ -1150,75 +1112,35 @@ fn run_distributed_oneshot(
         match workers_spec.parse::<usize>() {
             Ok(n) if n > 0 => n,
             _ => {
-                return fail(
+                return Err(fail(
                     2,
                     &format!("bad --workers value `{workers_spec}` (count or `auto`)"),
-                )
+                ))
             }
         }
     }
     .min(islands);
     let Some(format) = ff_service::GraphFormat::parse(&args.format) else {
-        return fail(2, "unknown format (metis|edgelist)");
+        return Err(fail(2, "unknown format (metis|edgelist)"));
     };
     let exe = match std::env::current_exe() {
         Ok(p) => p.to_string_lossy().into_owned(),
-        Err(e) => return fail(3, &format!("cannot locate own executable: {e}")),
-    };
-    let spec = ff_service::DistSpec {
-        instance: args.graph_path.clone(),
-        source: ff_service::GraphSource::Path(args.graph_path.clone()),
-        format,
-        k: args.k,
-        steps,
-        seeds: ff_engine::derive_seeds(args.seed, islands),
-        objectives: (0..islands)
-            .map(|i| args.objectives[i % args.objectives.len()])
-            .collect(),
-        // The Solver's default migration interval — what the run would
-        // use in-process.
-        interval: 1024,
-        migration: args.migration,
-        pareto: pareto_run,
+        Err(e) => return Err(fail(3, &format!("cannot locate own executable: {e}"))),
     };
     eprintln!("ffpart: distributing {islands} island(s) across {workers} worker process(es)");
-    let started = std::time::Instant::now();
-    let result = ff_service::solve_distributed(
-        g,
-        &spec,
+    ff_service::solve_on_workers(
+        solver,
+        &args.graph_path,
+        &ff_service::GraphSource::Path(args.graph_path.clone()),
+        format,
         &ff_service::WorkerSet::Spawn {
             cmd: vec![exe, "worker".into()],
             count: workers,
         },
         &ff_service::DistOpts::default(),
         &mut |_, _| {},
-    );
-    match result {
-        Ok(result) => {
-            if let Some(front) = &result.pareto {
-                let rows: Vec<FrontRow> = front
-                    .points
-                    .iter()
-                    .map(|p| {
-                        (
-                            p.island,
-                            p.objective,
-                            front
-                                .objectives
-                                .iter()
-                                .copied()
-                                .zip(p.values.iter().copied())
-                                .collect(),
-                            p.parts,
-                        )
-                    })
-                    .collect();
-                print_front(&rows);
-            }
-            Ok((result.best.clone(), started.elapsed()))
-        }
-        Err(e) => fail(3, &e),
-    }
+    )
+    .map_err(|e| fail(3, &e))
 }
 
 fn main() -> ExitCode {
@@ -1339,34 +1261,19 @@ fn main() -> ExitCode {
         },
         (None, None) => MethodBudget::seconds(10.0),
     };
-    let (mut partition, elapsed) = if let Some(spec) = &args.workers {
-        match run_distributed_oneshot(&g, &args, islands, pareto_run, spec) {
-            Ok(out) => out,
-            Err(code) => return code,
-        }
-    } else if pareto_run {
-        // Mixed objectives: drive the Solver directly, print the front,
-        // continue with the representative (best under the primary —
-        // first — objective) for the per-part report and -w.
+    let (mut partition, elapsed) = if args.method == MethodId::FusionFission {
         let started = std::time::Instant::now();
-        let mut solver = Solver::on(&g)
-            .k(args.k)
-            .objectives(args.objectives.clone())
-            .islands(islands)
-            .threads(args.threads)
-            .migration(args.migration.build())
-            .reduction(ParetoFront)
-            .stop(StopCondition::new(budget.steps, budget.time))
-            .seed(args.seed);
-        if let Some(opts) = ml_opts {
-            solver = solver.multilevel(opts);
-        }
-        let result = match solver.run() {
-            Ok(r) => r,
-            Err(e) => {
+        let solver = ff_solver(&g, &args, islands, budget, ml_opts);
+        let result = match &args.workers {
+            Some(spec) => run_on_workers(solver, &args, spec),
+            None => solver.run().map_err(|e| {
                 eprintln!("ffpart: invalid configuration: {e}");
-                return ExitCode::from(2);
-            }
+                ExitCode::from(2)
+            }),
+        };
+        let result = match result {
+            Ok(r) => r,
+            Err(code) => return code,
         };
         if let Some(info) = &result.multilevel {
             eprintln!(
@@ -1374,53 +1281,16 @@ fn main() -> ExitCode {
                 info.levels, info.coarse_vertices
             );
         }
-        let front: &ParetoResult = result.pareto.as_ref().expect("pareto reduction ran");
-        let rows: Vec<FrontRow> = front
-            .points
-            .iter()
-            .map(|p| {
-                (
-                    p.island,
-                    p.objective,
-                    front
-                        .objectives
-                        .iter()
-                        .copied()
-                        .zip(p.values.iter().copied())
-                        .collect(),
-                    p.parts,
-                )
-            })
-            .collect();
-        print_front(&rows);
-        (result.best.clone(), started.elapsed())
-    } else if let Some(opts) = ml_opts {
-        // Multilevel ff drives the Solver directly; `run_method_ensemble`
-        // stays the flat path so existing pinned outputs are untouched.
-        let started = std::time::Instant::now();
-        let result = Solver::on(&g)
-            .k(args.k)
-            .objective(args.objectives[0])
-            .islands(islands)
-            .threads(args.threads)
-            .migration(args.migration.build())
-            .stop(StopCondition::new(budget.steps, budget.time))
-            .seed(args.seed)
-            .multilevel(opts)
-            .run();
-        let result = match result {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("ffpart: invalid configuration: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        let info = result.multilevel.as_ref().expect("multilevel pipeline ran");
-        eprintln!(
-            "ffpart: multilevel: {} levels, coarse {} vertices",
-            info.levels, info.coarse_vertices
-        );
-        (result.best.clone(), started.elapsed())
+        // Mixed objectives: print the front, continue with the
+        // representative (best under the primary — first — objective)
+        // for the per-part report and -w.
+        if let Some(front) = &result.pareto {
+            print_pareto(front);
+        }
+        (result.best, started.elapsed())
+    } else if args.workers.is_some() {
+        eprintln!("ffpart: --workers needs -m ff (it distributes the fusion–fission ensemble)");
+        return ExitCode::from(2);
     } else {
         let out = run_method_ensemble(
             args.method,

@@ -110,7 +110,7 @@ pub enum FissionSplitter {
 }
 
 /// Configuration for [`crate::FusionFission`].
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct FusionFissionConfig {
     /// Target number of parts k (the result is reported at this k; the
     /// search itself roams k−…k+).
@@ -205,17 +205,6 @@ impl FusionFissionConfig {
         }
         Ok(())
     }
-
-    /// Validates invariants, panicking on violation.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `try_validate` and handle the ConfigError"
-    )]
-    pub fn validate(&self) {
-        if let Err(e) = self.try_validate() {
-            panic!("{e}");
-        }
-    }
 }
 
 #[cfg(test)]
@@ -257,12 +246,5 @@ mod tests {
             ..FusionFissionConfig::standard(4)
         };
         assert_eq!(cfg.try_validate(), Err(ConfigError::BadLawRate));
-    }
-
-    #[test]
-    #[should_panic(expected = "k must be positive")]
-    fn deprecated_validate_still_panics() {
-        #[allow(deprecated)]
-        FusionFissionConfig::standard(0).validate();
     }
 }

@@ -19,6 +19,11 @@
 //!   optimize *different* objectives; the deterministic non-dominated
 //!   front survives as a [`ParetoResult`]).
 //!
+//! A [`SolverRun`] owns the epoch schedule, the migration plan and its
+//! execution, and the reduction; it reaches its islands only through an
+//! [`IslandHost`] — [`LocalIslands`] in this process, or worker
+//! processes behind `ff-service`'s distributed coordinator.
+//!
 //! In the paper's vocabulary, an **island** is a separate beaker running
 //! its own reaction chain; **migration** pours the most stable molecule
 //! found so far into every other beaker (or, under [`Combine`], titrates
@@ -160,6 +165,7 @@
 //! ```
 
 pub mod ensemble;
+pub mod host;
 pub mod migration;
 pub mod multilevel;
 mod obs;
@@ -168,8 +174,8 @@ pub mod reduction;
 pub mod seeds;
 pub mod solver;
 
-#[allow(deprecated)]
-pub use ensemble::{Ensemble, EnsembleConfig, EnsembleResult, EnsembleRun};
+pub use ensemble::EnsembleResult;
+pub use host::{IslandHost, IslandSetup, LocalIslands};
 pub use migration::{
     Adaptive, Combine, IslandStatus, MigrationOffer, MigrationPolicy, MigrationPolicyId,
     ReplaceIfBetter,

@@ -2,11 +2,12 @@
 //! an epoch barrier, and *when* the next barrier happens.
 //!
 //! The engine advances all islands in lockstep epochs; at each barrier it
-//! hands the policy mutable access to every island run. A policy must be
-//! a deterministic function of the island states it observes — it may
-//! keep its own state across barriers (the adaptive policy does), but it
-//! must not consult wall-clock time, thread identity, or an unseeded RNG,
-//! or the engine's byte-identical reproducibility contract breaks.
+//! hands the policy every island's status and carries out the plan the
+//! policy returns. A policy must be a deterministic function of the
+//! island states it observes — it may keep its own state across barriers
+//! (the adaptive policy does), but it must not consult wall-clock time,
+//! thread identity, or an unseeded RNG, or the engine's byte-identical
+//! reproducibility contract breaks.
 //!
 //! Islands optimizing **different objectives** (a Pareto ensemble) are
 //! grouped by objective before any exchange: binding energies are only
@@ -46,15 +47,13 @@ pub struct MigrationOffer {
 /// A migration strategy plugged into the solver
 /// ([`Solver::migration`](crate::Solver::migration)).
 ///
-/// A policy is split into a pure *decision* ([`plan`]) over barrier-time
-/// island statuses and a default *execution* ([`exchange`]) of that plan
-/// against in-process runs. In-process ensembles call `exchange`; the
-/// distributed driver calls `plan` on the exact same statuses (reported
-/// over the wire) and executes each offer with fetch/inject ops, so both
-/// modes make bit-identical decisions.
+/// A policy is a pure *decision* ([`plan`]) over barrier-time island
+/// statuses. The [`SolverRun`](crate::SolverRun) executes the plan
+/// against whichever [`IslandHost`](crate::IslandHost) holds the islands
+/// — in this process or across worker processes — so every host makes
+/// bit-identical decisions.
 ///
 /// [`plan`]: MigrationPolicy::plan
-/// [`exchange`]: MigrationPolicy::exchange
 pub trait MigrationPolicy: Send {
     /// Stable display name (also the wire/CLI spelling).
     fn name(&self) -> &'static str;
@@ -74,28 +73,6 @@ pub trait MigrationPolicy: Send {
     /// called when at least two islands are live and migration is
     /// enabled.
     fn plan(&mut self, islands: &[IslandStatus]) -> Vec<MigrationOffer>;
-
-    /// Executes [`plan`](MigrationPolicy::plan) at a barrier: clone each
-    /// offer's donor molecule, offer it to every receiver. Returns how
-    /// many offers were adopted.
-    fn exchange(&mut self, islands: &mut [FusionFissionRun<'_>]) -> u64 {
-        let statuses: Vec<IslandStatus> = islands.iter().map(IslandStatus::of).collect();
-        let mut adopted = 0;
-        for offer in self.plan(&statuses) {
-            let molecule = islands[offer.donor].best_molecule().clone();
-            for &i in &offer.receivers {
-                let took = if offer.crossover {
-                    islands[i].inject_crossover(&molecule)
-                } else {
-                    islands[i].inject(&molecule)
-                };
-                if took {
-                    adopted += 1;
-                }
-            }
-        }
-        adopted
-    }
 }
 
 impl IslandStatus {
@@ -119,10 +96,6 @@ impl MigrationPolicy for Box<dyn MigrationPolicy> {
 
     fn plan(&mut self, islands: &[IslandStatus]) -> Vec<MigrationOffer> {
         (**self).plan(islands)
-    }
-
-    fn exchange(&mut self, islands: &mut [FusionFissionRun<'_>]) -> u64 {
-        (**self).exchange(islands)
     }
 }
 
@@ -355,8 +328,6 @@ impl MigrationPolicyId {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ff_core::{FusionFission, FusionFissionConfig};
-    use ff_graph::generators::random_geometric;
 
     #[test]
     fn policy_ids_round_trip() {
@@ -448,28 +419,21 @@ mod tests {
         // Fake the state machine directly: no islands needed to check
         // the scaling arithmetic, which is what determinism rests on.
         pol.last_energies = vec![1.0];
-        let g = random_geometric(20, 0.4, 1);
-        let mut runs = vec![
-            FusionFission::new(&g, FusionFissionConfig::fast(2), 1).start(),
-            FusionFission::new(&g, FusionFissionConfig::fast(2), 2).start(),
-        ];
-        // Fresh runs hold +inf best energy: never an improvement on 1.0.
+        // Islands that hold no molecule yet (+inf best energy) never
+        // improve on 1.0.
+        let fresh = vec![status(Objective::MCut, f64::INFINITY); 2];
         for _ in 0..2 {
-            pol.exchange(&mut runs);
+            pol.plan(&fresh);
         }
         assert_eq!(pol.scale(), 2);
         for _ in 0..2 {
-            pol.exchange(&mut runs);
+            pol.plan(&fresh);
         }
         assert_eq!(pol.scale(), 4);
         assert_eq!(pol.interval(100), 400);
-        // An improvement (advance the runs so they hold finite energy
-        // below the fake previous best) snaps back to the base.
+        // An improvement on the fake previous best snaps back to the base.
         pol.last_energies = vec![f64::INFINITY];
-        for run in &mut runs {
-            run.advance(500);
-        }
-        pol.exchange(&mut runs);
+        pol.plan(&[status(Objective::MCut, 0.5), status(Objective::MCut, 0.7)]);
         assert_eq!(pol.scale(), 1);
         assert_eq!(pol.interval(100), 100);
     }

@@ -2,13 +2,13 @@
 //! migration-policy wrapper behind [`Solver::observe`](crate::Solver::observe).
 //!
 //! Everything here is **observation-only**: the wrapper delegates
-//! `name`/`interval`/`plan` verbatim and relies on the trait-default
-//! `exchange` body (which no in-repo policy overrides), so the decision
-//! stream — and therefore every partition byte — is identical with and
-//! without observation. The test suite pins that contract.
+//! `name`/`interval`/`plan` verbatim and the run executes whatever `plan`
+//! returns, so the decision stream — and therefore every partition byte —
+//! is identical with and without observation. The test suite pins that
+//! contract.
 
+use crate::host::IslandHost;
 use crate::migration::{IslandStatus, MigrationOffer, MigrationPolicy};
-use ff_core::FusionFissionRun;
 use ff_multilevel::LevelReport;
 use ff_obs::{Counter, Histogram, Registry};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -90,20 +90,19 @@ impl EngineObs {
     }
 
     /// Records one epoch: timing, accept/reject accounting against the
-    /// pairs planned since the last record, and any new trace points.
-    pub(crate) fn record_epoch(
-        &mut self,
-        elapsed: Duration,
-        adopted: u64,
-        runs: &[FusionFissionRun<'_>],
-    ) {
+    /// pairs planned since the last record, and any new trace points the
+    /// host exposes.
+    pub(crate) fn record_epoch(&mut self, elapsed: Duration, adopted: u64, host: &impl IslandHost) {
         self.epochs.inc();
         self.epoch_ms.observe(elapsed.as_secs_f64() * 1e3);
         let planned = self.planned.swap(0, Ordering::Relaxed);
         self.accepts.add(adopted);
         self.rejects.add(planned.saturating_sub(adopted));
-        for (i, run) in runs.iter().enumerate() {
-            let fresh = run.trace().points_since(self.cursors[i]);
+        for i in 0..self.cursors.len() {
+            let Some(trace) = host.trace(i) else {
+                continue;
+            };
+            let fresh = trace.points_since(self.cursors[i]);
             for pt in fresh {
                 if let Some(prev) = self.last_value[i] {
                     let delta = prev - pt.value;
@@ -135,9 +134,8 @@ pub(crate) fn record_level_reports(registry: &Registry, reports: &[LevelReport])
     }
 }
 
-/// Counts offers/pairs during `plan` and otherwise delegates. The
-/// trait-default `exchange` routes through this `plan`, so execution is
-/// bit-identical to the unwrapped policy's.
+/// Counts offers/pairs during `plan` and otherwise delegates, so the run
+/// executes exactly the unwrapped policy's plan.
 struct ObservedPolicy {
     inner: Box<dyn MigrationPolicy>,
     offers: Counter,

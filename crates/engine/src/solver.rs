@@ -1,13 +1,11 @@
 //! The [`Solver`] builder — the one front door to the fusion–fission
-//! engine.
+//! engine — and [`SolverRun`], the one epoch engine behind it.
 //!
-//! Historically the engine had scattered entry points
-//! (`FusionFission::new`/`with_initial`, `Ensemble::new`,
-//! `EnsembleConfig`); the builder unifies them behind one fluent,
-//! validated configuration path and adds the two strategy seams:
+//! The builder configures islands and the two strategy seams:
 //! [`MigrationPolicy`] (what moves between islands, and when) and
 //! [`Reduction`] (how harvested islands become one result, including the
-//! multi-objective Pareto front).
+//! multi-objective Pareto front). The run drives the islands through an
+//! [`IslandHost`], in this process by default.
 //!
 //! ```
 //! use ff_engine::Solver;
@@ -25,19 +23,19 @@
 //! ```
 
 use crate::ensemble::EnsembleResult;
-use crate::migration::{MigrationPolicy, ReplaceIfBetter};
+use crate::host::{IslandHost, IslandSetup, LocalIslands};
+use crate::migration::{IslandStatus, MigrationPolicy, ReplaceIfBetter};
 use crate::multilevel::{MultilevelInfo, MultilevelOpts};
 use crate::obs::{record_level_reports, EngineObs};
 use crate::reduction::{MinEnergy, ParetoPoint, Reduction};
 use crate::seeds::derive_seeds;
-use ff_core::{
-    ConfigError, FusionFission, FusionFissionConfig, FusionFissionResult, FusionFissionRun,
-};
+use ff_core::{ConfigError, FusionFission, FusionFissionConfig, FusionFissionRun};
 use ff_graph::Graph;
 use ff_metaheur::{AnytimeTrace, CancelToken, StopCondition};
 use ff_multilevel::{Vcycle, VcycleOpts};
 use ff_partition::{pareto_front_indices, Objective, Partition};
 use std::collections::BTreeMap;
+use std::convert::Infallible;
 
 /// The distinct objectives of a per-island cycle list, in first-
 /// appearance order — the axis order of any Pareto front built over it.
@@ -271,52 +269,57 @@ impl<'g> Solver<'g> {
         Ok(())
     }
 
+    /// The graph this solver partitions.
+    pub fn graph(&self) -> &'g Graph {
+        self.g
+    }
+
+    /// The islands this solver starts, in island order: each one's seed,
+    /// search configuration and warm start. An [`IslandHost`] builds its
+    /// islands from these. Fails like [`Solver::start`].
+    pub fn island_setups(&self) -> Result<Vec<IslandSetup>, ConfigError> {
+        self.validate_flat()?;
+        let seeds = match &self.island_seeds {
+            Some(seeds) => seeds.clone(),
+            None => derive_seeds(self.seed, self.islands),
+        };
+        Ok(seeds
+            .into_iter()
+            .zip(self.objective_per_island())
+            .map(|(seed, objective)| IslandSetup {
+                seed,
+                config: FusionFissionConfig {
+                    objective,
+                    ..self.base
+                },
+                initial: self.initial.clone(),
+            })
+            .collect())
+    }
+
     /// Builds the live, resumable run, or reports the first
     /// configuration error. Rejects multilevel configurations
     /// ([`ConfigError::MultilevelNotResumable`]): the V-cycle owns the
     /// epoch loop, so multilevel runs go through [`Solver::run`] or
     /// [`Solver::run_with`].
     pub fn start(self) -> Result<SolverRun<'g>, ConfigError> {
-        if self.multilevel.is_some() {
-            return Err(ConfigError::MultilevelNotResumable);
-        }
-        self.start_flat()
+        let host = LocalIslands::new(self.g, self.island_setups()?, self.max_threads);
+        self.start_on(host)
     }
 
-    /// The flat start path — `self.multilevel` must already be `None` or
-    /// stripped (the coarse solver inside [`Solver::run_with`]).
-    fn start_flat(self) -> Result<SolverRun<'g>, ConfigError> {
-        self.try_validate()?;
-        let n = self.islands;
-        let seeds = match self.island_seeds {
-            Some(seeds) => seeds,
-            None => derive_seeds(self.seed, n),
-        };
-        let per_island: Vec<Objective> = match &self.objectives {
-            Some(list) => (0..n).map(|i| list[i % list.len()]).collect(),
-            None => vec![self.base.objective; n],
-        };
+    /// Like [`Solver::start`], but on islands `host` holds — built from
+    /// this solver's [`island_setups`](Solver::island_setups). The run
+    /// keeps the schedule, the migration policy and the reduction; the
+    /// host only advances, reads and injects islands. The thread cap is
+    /// the host's business.
+    pub fn start_on<H: IslandHost>(self, host: H) -> Result<SolverRun<'g, H>, ConfigError> {
+        self.validate_flat()?;
         // Axis order of any Pareto front. Validation guaranteed the
         // cycled assignment covers every distinct objective of the list.
-        let distinct = distinct_objectives(&per_island);
-        let runs: Vec<FusionFissionRun<'g>> = seeds
-            .iter()
-            .zip(&per_island)
-            .map(|(&seed, &objective)| {
-                let cfg = FusionFissionConfig {
-                    objective,
-                    ..self.base
-                };
-                match &self.initial {
-                    Some(p) => FusionFission::with_initial(self.g, cfg, seed, p.clone()),
-                    None => FusionFission::new(self.g, cfg, seed),
-                }
-                .start()
-            })
-            .collect();
+        let objectives = distinct_objectives(&self.objective_per_island());
         let (obs, migration) = match &self.obs {
             Some(registry) => {
-                let obs = EngineObs::new(registry, self.migration.name(), n);
+                let obs = EngineObs::new(registry, self.migration.name(), self.islands);
                 let wrapped = obs.wrap(registry, self.migration);
                 (Some(obs), wrapped)
             }
@@ -324,15 +327,32 @@ impl<'g> Solver<'g> {
         };
         Ok(SolverRun {
             g: self.g,
-            runs,
-            max_threads: self.max_threads,
+            host,
             base_interval: self.migration_interval,
             migration,
             reduction: self.reduction,
-            objectives: distinct,
+            objectives,
             migrations_adopted: 0,
             obs,
         })
+    }
+
+    /// [`Solver::try_validate`] plus the rejection of multilevel
+    /// configurations, which do not start a flat run.
+    fn validate_flat(&self) -> Result<(), ConfigError> {
+        if self.multilevel.is_some() {
+            return Err(ConfigError::MultilevelNotResumable);
+        }
+        self.try_validate()
+    }
+
+    /// Island `i`'s objective: the override list cycled over the
+    /// islands, or the base objective.
+    fn objective_per_island(&self) -> Vec<Objective> {
+        match &self.objectives {
+            Some(list) => (0..self.islands).map(|i| list[i % list.len()]).collect(),
+            None => vec![self.base.objective; self.islands],
+        }
     }
 
     /// Runs to every island's stop condition and reduces. Without
@@ -357,7 +377,7 @@ impl<'g> Solver<'g> {
     {
         self.try_validate()?;
         let Some(opts) = self.multilevel.take() else {
-            let mut run = self.start_flat()?;
+            let mut run = self.start()?;
             drive(&mut run);
             return Ok(run.harvest());
         };
@@ -403,7 +423,7 @@ impl<'g> Solver<'g> {
             multilevel: None,
             obs,
         };
-        let mut run = coarse_solver.start_flat()?;
+        let mut run = coarse_solver.start()?;
         drive(&mut run);
         let mut res = run.harvest();
 
@@ -500,20 +520,20 @@ impl<'g> Solver<'g> {
 
 /// A live, resumable solver run: islands advance in lockstep epochs with
 /// the migration policy exchanging molecules at each barrier. Produced by
-/// [`Solver::start`]; drive with [`SolverRun::advance_epoch`], harvest
-/// with [`SolverRun::harvest`].
+/// [`Solver::start`] (islands in this process) or [`Solver::start_on`]
+/// (any [`IslandHost`]); drive with [`SolverRun::advance_epoch`], harvest
+/// with [`SolverRun::harvest`] — or their `try_` forms for fallible hosts.
 ///
 /// ## Determinism
 ///
 /// With a step-based stop condition the result is byte-identical across
-/// repeated runs and across any [`Solver::threads`] cap, for every
-/// migration policy: island seeds are pure functions of the root seed,
-/// epochs are barriers, and policies act only on barrier-time island
-/// state.
-pub struct SolverRun<'g> {
+/// repeated runs, across any [`Solver::threads`] cap and across hosts,
+/// for every migration policy: island seeds are pure functions of the
+/// root seed, epochs are barriers, and policies act only on barrier-time
+/// island state.
+pub struct SolverRun<'g, H = LocalIslands<'g>> {
     g: &'g Graph,
-    runs: Vec<FusionFissionRun<'g>>,
-    max_threads: usize,
+    host: H,
     base_interval: u64,
     migration: Box<dyn MigrationPolicy>,
     reduction: Box<dyn Reduction>,
@@ -522,112 +542,56 @@ pub struct SolverRun<'g> {
     obs: Option<EngineObs>,
 }
 
-impl<'g> SolverRun<'g> {
-    /// One epoch: every island advances by the policy's interval (in
-    /// waves of at most the configured thread cap), then the policy
-    /// exchanges molecules at the barrier. Returns `true` while at least
-    /// one island has work left, `false` once all islands hit their stop
-    /// conditions or a bound [`CancelToken`] fired.
-    pub fn advance_epoch(&mut self) -> bool {
+impl<'g, H: IslandHost> SolverRun<'g, H> {
+    /// One epoch: every island advances by the policy's interval, then —
+    /// unless this was the last epoch, the run has one island, or
+    /// migration is off — the policy plans the barrier's exchanges and
+    /// the run carries them out on the host. Returns `Ok(true)` while at
+    /// least one island has work left, `Ok(false)` once all islands hit
+    /// their stop conditions or a bound [`CancelToken`] fired.
+    pub fn try_advance_epoch(&mut self) -> Result<bool, H::Error> {
         let epoch_start = self.obs.as_ref().map(|_| std::time::Instant::now());
-        let n = self.runs.len();
         let chunk = if self.base_interval == 0 {
             u64::MAX
         } else {
             self.migration.interval(self.base_interval).max(1)
         };
-        let cap = if self.max_threads == 0 {
-            n
-        } else {
-            self.max_threads.max(1)
-        };
-        // Each island's state evolution depends only on its own seed and
-        // past injections, so wave layout cannot change results.
-        let mut more = vec![false; n];
-        for (wave, flags) in self.runs.chunks_mut(cap).zip(more.chunks_mut(cap)) {
-            std::thread::scope(|scope| {
-                for (run, flag) in wave.iter_mut().zip(flags.iter_mut()) {
-                    scope.spawn(move || {
-                        *flag = run.advance(chunk);
-                    });
-                }
-            });
-        }
-        let any_more = more.iter().any(|&b| b);
+        let advanced = self.host.advance(chunk)?;
+        let any_more = advanced.iter().any(|&(_, more)| more);
         let adopted_before = self.migrations_adopted;
-        if any_more && n > 1 && self.base_interval > 0 {
-            self.migrations_adopted += self.migration.exchange(&mut self.runs);
+        if any_more && advanced.len() > 1 && self.base_interval > 0 {
+            let statuses: Vec<IslandStatus> = advanced.iter().map(|&(status, _)| status).collect();
+            // Offers stay within disjoint objective groups, so a donor
+            // read at execution time holds the molecule it held at plan
+            // time.
+            for offer in self.migration.plan(&statuses) {
+                let molecule = self.host.molecule(offer.donor)?;
+                for &i in &offer.receivers {
+                    if self.host.inject(i, &molecule, offer.crossover)? {
+                        self.migrations_adopted += 1;
+                    }
+                }
+            }
         }
         if let (Some(obs), Some(start)) = (&mut self.obs, epoch_start) {
             obs.record_epoch(
                 start.elapsed(),
                 self.migrations_adopted - adopted_before,
-                &self.runs,
+                &self.host,
             );
         }
-        any_more
+        Ok(any_more)
     }
 
-    /// Binds one cooperative cancellation token to every island: when it
-    /// fires, the in-flight epoch ends at each island's next step check
-    /// and [`advance_epoch`](SolverRun::advance_epoch) returns `false`.
-    pub fn bind_cancel(&mut self, token: CancelToken) {
-        for run in &mut self.runs {
-            run.bind_cancel(token.clone());
-        }
-    }
-
-    /// The live island runs, in island order — read-only access for
-    /// streaming taps (each island's
-    /// [`trace`](FusionFissionRun::trace) is the per-island improvement
-    /// stream, tagged with that island's objective).
-    pub fn islands(&self) -> &[FusionFissionRun<'g>] {
-        &self.runs
-    }
-
-    /// The distinct objectives this run optimizes, in island order of
-    /// first appearance.
-    pub fn objectives(&self) -> &[Objective] {
-        &self.objectives
-    }
-
-    /// Whether every island has finished (stop condition or cancellation).
-    pub fn finished(&self) -> bool {
-        self.runs.iter().all(|r| r.finished())
-    }
-
-    /// Total steps executed so far across all islands.
-    pub fn total_steps(&self) -> u64 {
-        self.runs.iter().map(|r| r.steps()).sum()
-    }
-
-    /// Migration offers adopted so far.
-    pub fn migrations_adopted(&self) -> u64 {
-        self.migrations_adopted
-    }
-
-    /// Best objective value held at the target k so far, minimized across
-    /// islands (`None` until some island first visits the target k). Only
-    /// meaningful for single-objective runs — mixed-objective values are
-    /// not comparable.
-    pub fn best_value_at_target(&self) -> Option<f64> {
-        self.runs
-            .iter()
-            .filter_map(|r| r.best_at_target().map(|(v, _)| v))
-            .min_by(f64::total_cmp)
-    }
-
-    /// Consumes the run, harvesting every island and applying the
-    /// configured [`Reduction`].
-    pub fn harvest(self) -> EnsembleResult {
-        let islands: Vec<FusionFissionResult> =
-            self.runs.into_iter().map(|r| r.harvest()).collect();
+    /// Consumes the run, harvesting every island from the host and
+    /// applying the configured [`Reduction`].
+    pub fn try_harvest(self) -> Result<EnsembleResult, H::Error> {
+        let islands = self.host.harvest()?;
         let reduced = self.reduction.reduce(self.g, &islands, &self.objectives);
         let best_island = reduced.best_island;
         // Cross-island merges only make sense within one criterion: merge
         // the primary (first) objective's islands, which for a
-        // single-objective run is every island — bit-equal to the
-        // historical reduction.
+        // single-objective run is every island.
         let primary = self.objectives[0];
         let primary_islands = || {
             islands
@@ -644,7 +608,7 @@ impl<'g> SolverRun<'g> {
                 }
             }
         }
-        EnsembleResult {
+        Ok(EnsembleResult {
             best: islands[best_island].best.clone(),
             best_value: islands[best_island].best_value,
             best_island,
@@ -655,6 +619,73 @@ impl<'g> SolverRun<'g> {
             pareto: reduced.pareto,
             multilevel: None,
             islands,
+        })
+    }
+
+    /// The distinct objectives this run optimizes, in island order of
+    /// first appearance.
+    pub fn objectives(&self) -> &[Objective] {
+        &self.objectives
+    }
+
+    /// Migration offers adopted so far.
+    pub fn migrations_adopted(&self) -> u64 {
+        self.migrations_adopted
+    }
+}
+
+impl<'g, H: IslandHost<Error = Infallible>> SolverRun<'g, H> {
+    /// [`SolverRun::try_advance_epoch`] on a host that cannot fail.
+    pub fn advance_epoch(&mut self) -> bool {
+        match self.try_advance_epoch() {
+            Ok(more) => more,
+            Err(never) => match never {},
         }
+    }
+
+    /// [`SolverRun::try_harvest`] on a host that cannot fail.
+    pub fn harvest(self) -> EnsembleResult {
+        match self.try_harvest() {
+            Ok(result) => result,
+            Err(never) => match never {},
+        }
+    }
+}
+
+impl<'g> SolverRun<'g> {
+    /// Binds one cooperative cancellation token to every island: when it
+    /// fires, the in-flight epoch ends at each island's next step check
+    /// and [`advance_epoch`](SolverRun::advance_epoch) returns `false`.
+    pub fn bind_cancel(&mut self, token: CancelToken) {
+        self.host.bind_cancel(&token);
+    }
+
+    /// The live island runs, in island order — read-only access for
+    /// streaming taps (each island's
+    /// [`trace`](FusionFissionRun::trace) is the per-island improvement
+    /// stream, tagged with that island's objective).
+    pub fn islands(&self) -> &[FusionFissionRun<'g>] {
+        self.host.runs()
+    }
+
+    /// Whether every island has finished (stop condition or cancellation).
+    pub fn finished(&self) -> bool {
+        self.islands().iter().all(|r| r.finished())
+    }
+
+    /// Total steps executed so far across all islands.
+    pub fn total_steps(&self) -> u64 {
+        self.islands().iter().map(|r| r.steps()).sum()
+    }
+
+    /// Best objective value held at the target k so far, minimized across
+    /// islands (`None` until some island first visits the target k). Only
+    /// meaningful for single-objective runs — mixed-objective values are
+    /// not comparable.
+    pub fn best_value_at_target(&self) -> Option<f64> {
+        self.islands()
+            .iter()
+            .filter_map(|r| r.best_at_target().map(|(v, _)| v))
+            .min_by(f64::total_cmp)
     }
 }

@@ -747,3 +747,122 @@ fn multilevel_polish_never_worsens_and_stays_deterministic() {
     assert_eq!(polished2.best.assignment(), polished.best.assignment());
     assert_eq!(polished2.best_value, polished.best_value);
 }
+
+/// What the engine asked a [`RecordingHost`] to do, in order.
+#[derive(Clone, Debug, PartialEq)]
+enum HostOp {
+    Advance(u64),
+    Molecule(usize),
+    Inject(usize),
+}
+
+/// A fake [`ff_engine::IslandHost`]: island `i` holds energy `i` (so
+/// island 0 always donates) and a budget of `budget` steps; every call is
+/// recorded and no offer is adopted.
+struct RecordingHost<'g> {
+    g: &'g Graph,
+    islands: usize,
+    budget: u64,
+    spent: u64,
+    ops: std::rc::Rc<std::cell::RefCell<Vec<HostOp>>>,
+}
+
+impl ff_engine::IslandHost for RecordingHost<'_> {
+    type Error = std::convert::Infallible;
+
+    fn advance(&mut self, steps: u64) -> Result<Vec<(ff_engine::IslandStatus, bool)>, Self::Error> {
+        self.ops.borrow_mut().push(HostOp::Advance(steps));
+        self.spent = self.spent.saturating_add(steps).min(self.budget);
+        let more = self.spent < self.budget;
+        Ok((0..self.islands)
+            .map(|i| {
+                let status = ff_engine::IslandStatus {
+                    objective: Objective::MCut,
+                    best_energy: i as f64,
+                };
+                (status, more)
+            })
+            .collect())
+    }
+
+    fn molecule(&mut self, i: usize) -> Result<ff_partition::Partition, Self::Error> {
+        self.ops.borrow_mut().push(HostOp::Molecule(i));
+        Ok(ff_partition::Partition::block(self.g, 2))
+    }
+
+    fn inject(
+        &mut self,
+        i: usize,
+        _molecule: &ff_partition::Partition,
+        _crossover: bool,
+    ) -> Result<bool, Self::Error> {
+        self.ops.borrow_mut().push(HostOp::Inject(i));
+        Ok(false)
+    }
+
+    fn harvest(self) -> Result<Vec<ff_core::FusionFissionResult>, Self::Error> {
+        Ok((0..self.islands)
+            .map(|i| ff_core::FusionFissionResult {
+                best: ff_partition::Partition::block(self.g, 2),
+                best_value: i as f64,
+                best_energy: i as f64,
+                steps: self.spent,
+                trace: ff_metaheur::AnytimeTrace::with_tag(Objective::MCut),
+                best_value_per_k: Default::default(),
+            })
+            .collect())
+    }
+}
+
+/// The epoch schedule lives in `SolverRun` alone: any host sees the same
+/// calls — exchanges only between advances, never after the final one,
+/// never with one island, never with migration off.
+#[test]
+fn any_host_sees_the_one_epoch_schedule() {
+    let g = random_geometric(12, 0.5, 1);
+    let drive = |islands: usize, interval: u64| {
+        let ops = std::rc::Rc::default();
+        let host = RecordingHost {
+            g: &g,
+            islands,
+            budget: 250,
+            spent: 0,
+            ops: std::rc::Rc::clone(&ops),
+        };
+        let mut run = Solver::on(&g)
+            .k(2)
+            .islands(islands)
+            .migration_interval(interval)
+            .start_on(host)
+            .unwrap();
+        while run.advance_epoch() {}
+        let res = run.harvest();
+        assert_eq!(res.best_island, 0);
+        assert_eq!(res.steps, 250 * islands as u64);
+        let recorded = ops.borrow().clone();
+        recorded
+    };
+    use HostOp::*;
+    // Island 0 holds the lowest energy, so it donates to 1 and 2.
+    #[rustfmt::skip]
+    let expected = vec![
+        Advance(100), Molecule(0), Inject(1), Inject(2),
+        Advance(100), Molecule(0), Inject(1), Inject(2),
+        Advance(100),
+    ];
+    assert_eq!(
+        drive(3, 100),
+        expected,
+        "no exchange after the final advance"
+    );
+    assert_eq!(
+        drive(1, 100),
+        vec![Advance(100); 3],
+        "no exchange with one island"
+    );
+    assert_eq!(
+        drive(3, 0),
+        vec![Advance(u64::MAX)],
+        "no exchange with migration off"
+    );
+}

@@ -177,7 +177,7 @@ impl CancelToken {
 }
 
 /// When a metaheuristic run must stop (whichever limit hits first).
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct StopCondition {
     /// Maximum number of steps (perturbations / iterations).
     pub max_steps: u64,

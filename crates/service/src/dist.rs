@@ -1,10 +1,17 @@
-//! The distributed-islands coordinator: shards an ensemble's islands
-//! across worker processes and drives them in deterministic lockstep.
+//! Distributed islands: the engine's one epoch loop, with the islands
+//! hosted by worker processes.
 //!
-//! ## Topology
+//! ## One engine, two hosts
+//!
+//! A [`SolverRun`](ff_engine::SolverRun) owns the whole search schedule
+//! — epoch chunking, the migration plan and its execution, the reduction
+//! — and reaches its islands only through an [`IslandHost`]. In-process
+//! the host is [`ff_engine::LocalIslands`]. Here it is a coordinator-side
+//! host that shards the islands across worker processes and carries the
+//! same four operations over `w*` NDJSON ops:
 //!
 //! ```text
-//!   coordinator (owns the graph, the MigrationPolicy and the Reduction)
+//!   coordinator (SolverRun: schedule, MigrationPolicy, Reduction)
 //!      │ NDJSON: load, wstart, then per epoch wadvance / wmolecule / winject
 //!      ├──────────────┬──────────────┐
 //!   worker 0       worker 1       worker 2     (spawned `ffpart worker`
@@ -13,23 +20,22 @@
 //! ```
 //!
 //! Islands are assigned round-robin (`island i → worker i mod W`); each
-//! worker hosts its shard in one session whose islands are configured
-//! exactly as [`Solver`](ff_engine::Solver) configures them in-process.
-//! Every epoch the coordinator advances all shards by the policy's
-//! interval, collects barrier-time energies, runs the *same*
-//! [`MigrationPolicy::plan`](ff_engine::MigrationPolicy::plan) a
-//! single-process run would execute, and
-//! carries the planned molecules across process boundaries as
-//! assignment vectors.
+//! worker hosts its shard in one session whose islands are built by the
+//! one island configuration the wire can express ([`wire_setups`] checks
+//! a [`Solver`] against it). An epoch writes `wadvance` to every shard
+//! before it reads any reply, so the shards compute their epochs at the
+//! same time; replies are read in worker order, so improvement callbacks
+//! arrive in the same order however the shards are timed. Migration
+//! molecules cross process boundaries as assignment vectors.
 //!
 //! ## Determinism contract
 //!
 //! An island's state is a pure function of its seed and injection
 //! history, and injected molecules are canonicalized from their
 //! assignment on arrival — so a distributed run is **byte-identical**
-//! to the in-process [`Solver`](ff_engine::Solver) run with the same
-//! seeds, per-island objectives, step budget and migration interval,
-//! for any worker count or layout.
+//! to the in-process [`Solver`] run with the same seeds, per-island
+//! objectives, step budget and migration interval, for any worker count
+//! or layout.
 //!
 //! ## Fault tolerance (crash–replay)
 //!
@@ -44,7 +50,6 @@
 //! keeps the byte-identical contract intact *under* faults.
 
 use crate::sync::lock;
-use std::collections::BTreeMap;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::process::{Child, Command, Stdio};
@@ -52,23 +57,21 @@ use std::sync::mpsc::{self, Receiver, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use ff_core::FusionFissionResult;
+use ff_core::{ConfigError, FusionFissionResult};
 use ff_engine::{
-    distinct_objectives, EnsembleResult, IslandStatus, MigrationPolicyId, MinEnergy, ParetoFront,
-    Reduction,
+    EnsembleResult, IslandHost, IslandSetup, IslandStatus, MigrationPolicyId, ParetoFront, Solver,
 };
 use ff_graph::Graph;
 use ff_metaheur::AnytimeTrace;
 use ff_partition::{Objective, Partition};
 
 use crate::cache::{GraphFormat, GraphSource};
-use crate::protocol::{Event, Request, WNews, WorkerStart};
+use crate::protocol::{Event, MoleculeInfo, Request, WNews, WorkerStart};
+use crate::wsession::island_config;
 
 /// What to solve, distributed. `seeds` and `objectives` are the full
-/// per-island lists in global island order — callers (CLI, submit) fix
-/// them exactly as the in-process path would, so the contract "same
-/// seeds in, same bytes out" is theirs to state and this module's to
-/// keep.
+/// per-island lists in global island order; [`solve_distributed`] turns
+/// them into the equivalent [`Solver`].
 #[derive(Clone, Debug)]
 pub struct DistSpec {
     /// Cache key the workers load the instance under.
@@ -90,7 +93,7 @@ pub struct DistSpec {
     pub interval: u64,
     /// Migration policy, instantiated coordinator-side.
     pub migration: MigrationPolicyId,
-    /// Reduce with [`ParetoFront`] instead of [`MinEnergy`].
+    /// Reduce with [`ParetoFront`] instead of the default min-energy rule.
     pub pareto: bool,
 }
 
@@ -142,12 +145,13 @@ impl Default for DistOpts {
     }
 }
 
-/// Runs `spec` across `workers` and reduces, coordinator-side, to the
-/// same [`EnsembleResult`] the in-process solver would return. `g` is
-/// the coordinator's own copy of the instance (for molecule
-/// reconstruction and the reduction); it must be the graph `spec.source`
-/// describes. `on_news` receives each island improvement exactly once
-/// (global island index + point), replays excluded.
+/// Runs `spec` across `workers`: the [`Solver`] with `spec`'s seeds,
+/// objectives, budget, interval, policy and reduction, driven by
+/// [`solve_on_workers`]. `g` is the coordinator's own copy of the
+/// instance (for molecule reconstruction and the reduction); it must be
+/// the graph `spec.source` describes. `on_news` receives each island
+/// improvement exactly once (global island index + point), replays
+/// excluded.
 pub fn solve_distributed(
     g: &Graph,
     spec: &DistSpec,
@@ -155,261 +159,335 @@ pub fn solve_distributed(
     opts: &DistOpts,
     on_news: &mut dyn FnMut(usize, &WNews),
 ) -> Result<EnsembleResult, String> {
-    let n = spec.seeds.len();
-    if n == 0 {
-        return Err("distributed run needs at least one island".into());
-    }
-    if spec.objectives.len() != n {
+    if spec.objectives.len() != spec.seeds.len() {
         return Err("one objective per island required".into());
     }
+    let mut solver = Solver::on(g)
+        .k(spec.k)
+        .steps(spec.steps)
+        .islands(spec.seeds.len())
+        .island_seeds(spec.seeds.clone())
+        .objectives(spec.objectives.clone())
+        .migration_interval(spec.interval)
+        .migration(spec.migration.build());
+    if spec.pareto {
+        solver = solver.reduction(ParetoFront);
+    }
+    solve_on_workers(
+        solver,
+        &spec.instance,
+        &spec.source,
+        spec.format,
+        workers,
+        opts,
+        on_news,
+    )
+}
+
+/// Runs `solver` with its islands hosted by `workers`, which load the
+/// instance from `source` under the cache key `instance`, and returns
+/// the [`EnsembleResult`] the in-process run returns. Refuses what
+/// [`wire_setups`] refuses. `on_news` receives each island improvement
+/// exactly once (global island index + point), replays excluded.
+pub fn solve_on_workers(
+    solver: Solver<'_>,
+    instance: &str,
+    source: &GraphSource,
+    format: GraphFormat,
+    workers: &WorkerSet,
+    opts: &DistOpts,
+    on_news: &mut dyn FnMut(usize, &WNews),
+) -> Result<EnsembleResult, String> {
+    let setups = wire_setups(&solver)?;
     if let Some(registry) = &opts.obs {
         // Pre-register the coordinator's metric families so a clean run
         // still exposes the full catalog (failure counters at zero).
         crate::obs::dist_families(registry);
     }
+    let load = Request::Load {
+        instance: instance.to_string(),
+        source: source.clone(),
+        format,
+    };
+    let conns = open_shards(&setups, load, instance, workers, opts)?;
+    let host = RemoteIslands {
+        g: solver.graph(),
+        conns,
+        objectives: setups.iter().map(|s| s.config.objective).collect(),
+        traces: setups
+            .iter()
+            .map(|s| AnytimeTrace::with_tag(s.config.objective))
+            .collect(),
+        epoch: 0,
+        opts,
+        on_news,
+    };
+    let mut run = solver.start_on(host).map_err(|e| e.to_string())?;
+    while run.try_advance_epoch()? {}
+    run.try_harvest()
+}
+
+/// The islands `solver` starts, checked against what a worker session
+/// can host: each must be exactly the one configuration the wire
+/// expresses — the standard parameters for `k`, its objective and a pure
+/// step budget — with no warm start, on a flat (not multilevel) run.
+/// Every refusal to distribute a configuration comes from here.
+pub fn wire_setups(solver: &Solver<'_>) -> Result<Vec<IslandSetup>, String> {
+    let setups = solver.island_setups().map_err(|e| match e {
+        ConfigError::MultilevelNotResumable => {
+            "distributed islands do not support multilevel runs yet".to_string()
+        }
+        e => format!("invalid configuration: {e}"),
+    })?;
+    for setup in &setups {
+        let cfg = setup.config;
+        if cfg.stop.max_time != Duration::MAX {
+            return Err(
+                "distributed islands need a pure step budget (a step count, no time limit)".into(),
+            );
+        }
+        if setup.initial.is_some() {
+            return Err("distributed islands cannot warm-start from a partition".into());
+        }
+        if cfg != island_config(cfg.k, cfg.objective, cfg.stop.max_steps) {
+            return Err(
+                "distributed islands run the standard search parameters only (k, objective \
+                 and step budget)"
+                    .into(),
+            );
+        }
+    }
+    Ok(setups)
+}
+
+/// Round-robin placement: island `i` lives on worker `i % workers`, at
+/// shard-local index `i / workers`.
+fn place(island: usize, workers: usize) -> (usize, usize) {
+    (island % workers, island / workers)
+}
+
+/// Connects one worker per shard (never more than there are islands),
+/// loads the instance on each and starts its session, all logged for
+/// replay.
+fn open_shards(
+    setups: &[IslandSetup],
+    load: Request,
+    instance: &str,
+    workers: &WorkerSet,
+    opts: &DistOpts,
+) -> Result<Vec<WorkerConn>, String> {
+    let Some(first) = setups.first() else {
+        return Err("distributed run needs at least one island".into());
+    };
     let targets = make_targets(workers, opts)?;
-    // Never spawn more workers than islands: the extras would idle.
-    let w_eff = targets.len().min(n);
+    let w_eff = targets.len().min(setups.len());
     let mut conns = Vec::with_capacity(w_eff);
     for (w, target) in targets.into_iter().take(w_eff).enumerate() {
         conns.push(WorkerConn::open(w, target, opts)?);
     }
-    for i in 0..n {
-        conns[i % w_eff].islands.push(i);
+    for i in 0..setups.len() {
+        conns[place(i, w_eff).0].islands.push(i);
     }
-
-    // Load + session start, logged for replay.
     for conn in &mut conns {
-        let load = Request::Load {
-            instance: spec.instance.clone(),
-            source: spec.source.clone(),
-            format: spec.format,
-        };
-        match conn.call_logged(load, opts, true)? {
+        match conn.call_logged(load.clone(), opts, true)? {
             Event::Loaded { .. } => {}
             other => return Err(conn.unexpected("loaded", &other)),
         }
         let start = Request::WStart(WorkerStart {
             session: conn.session,
-            instance: spec.instance.clone(),
-            k: spec.k,
-            seeds: conn.islands.iter().map(|&i| spec.seeds[i]).collect(),
-            objectives: conn.islands.iter().map(|&i| spec.objectives[i]).collect(),
-            steps: spec.steps,
+            instance: instance.to_string(),
+            k: first.config.k,
+            seeds: conn.islands.iter().map(|&i| setups[i].seed).collect(),
+            objectives: conn
+                .islands
+                .iter()
+                .map(|&i| setups[i].config.objective)
+                .collect(),
+            steps: first.config.stop.max_steps,
         });
         match conn.call_logged(start, opts, true)? {
             Event::WReady { islands, .. } if islands == conn.islands.len() => {}
             other => return Err(conn.unexpected("wready", &other)),
         }
     }
+    Ok(conns)
+}
 
-    // The epoch loop — a wire mirror of `SolverRun::advance_epoch`:
-    // advance every island by the policy's interval, stop (without a
-    // final exchange) once no island has work left, otherwise plan the
-    // exchange over barrier-time statuses and carry it out.
-    let mut migration = spec.migration.build();
-    let mut energy = vec![f64::INFINITY; n];
-    let mut more = vec![true; n];
-    let mut traces: Vec<AnytimeTrace> = spec
-        .objectives
-        .iter()
-        .map(|&o| AnytimeTrace::with_tag(o))
-        .collect();
-    let mut migrations_adopted = 0u64;
-    let mut epoch = 0u64;
-    loop {
-        let chunk = if spec.interval == 0 {
-            u64::MAX
-        } else {
-            migration.interval(spec.interval).max(1)
+/// The coordinator-side [`IslandHost`]: islands sharded over worker
+/// sessions, each operation carried as `w*` ops.
+struct RemoteIslands<'a> {
+    /// The coordinator's copy of the instance.
+    g: &'a Graph,
+    conns: Vec<WorkerConn>,
+    /// Each island's objective, in global order (statuses carry it).
+    objectives: Vec<Objective>,
+    /// Each island's improvement trace, rebuilt from `wstate` news.
+    traces: Vec<AnytimeTrace>,
+    /// The next `wadvance` epoch.
+    epoch: u64,
+    opts: &'a DistOpts,
+    on_news: &'a mut dyn FnMut(usize, &WNews),
+}
+
+impl IslandHost for RemoteIslands<'_> {
+    type Error = String;
+
+    fn advance(&mut self, steps: u64) -> Result<Vec<(IslandStatus, bool)>, String> {
+        let epoch = self.epoch;
+        let request = |conn: &WorkerConn| Request::WAdvance {
+            session: conn.session,
+            epoch,
+            steps,
         };
-        for conn in &mut conns {
-            let req = Request::WAdvance {
-                session: conn.session,
-                epoch,
-                steps: chunk,
-            };
-            match conn.call_logged(req, opts, true)? {
+        // Every shard gets its `wadvance` before any reply is read, so
+        // the shards run the epoch concurrently.
+        let sent: Vec<Result<(), WireFail>> = self
+            .conns
+            .iter_mut()
+            .map(|conn| conn.send(&request(conn)))
+            .collect();
+        let mut advanced = vec![None; self.objectives.len()];
+        for (conn, sent) in self.conns.iter_mut().zip(sent) {
+            let first = sent.and_then(|()| conn.recv(self.opts.reply_timeout));
+            match conn.settle(request(conn), first, self.opts, true)? {
                 Event::WState { islands, .. } => {
                     for st in islands {
                         let gi = conn.global(st.island)?;
-                        energy[gi] = st.energy;
-                        more[gi] = st.more;
                         for news in &st.news {
-                            traces[gi].record(
+                            self.traces[gi].record(
                                 Duration::from_millis(news.elapsed_ms),
                                 news.value,
                                 news.step,
                             );
-                            on_news(gi, news);
+                            (self.on_news)(gi, news);
                         }
+                        let status = IslandStatus {
+                            objective: self.objectives[gi],
+                            best_energy: st.energy,
+                        };
+                        advanced[gi] = Some((status, st.more));
                     }
                 }
                 other => return Err(conn.unexpected("wstate", &other)),
             }
             // Each shard's gauge advances as its `wadvance` completes,
             // so a scrape mid-epoch reads the true lag (max − min).
-            if let Some(registry) = &opts.obs {
+            if let Some(registry) = &self.opts.obs {
                 crate::obs::dist_worker_epoch(registry, conn.session as usize, epoch);
             }
         }
-        opts.logger.log(
+        let advanced: Vec<(IslandStatus, bool)> = advanced
+            .into_iter()
+            .enumerate()
+            .map(|(i, a)| a.ok_or(format!("worker omitted island {i} from epoch {epoch}")))
+            .collect::<Result<_, _>>()?;
+        let live = advanced.iter().filter(|&&(_, more)| more).count();
+        self.opts.logger.log(
             "epoch",
             None,
             &[
                 ("epoch", ff_obs::LogValue::U64(epoch)),
-                ("workers", ff_obs::LogValue::U64(w_eff as u64)),
-                (
-                    "live_islands",
-                    ff_obs::LogValue::U64(more.iter().filter(|&&b| b).count() as u64),
-                ),
+                ("workers", ff_obs::LogValue::U64(self.conns.len() as u64)),
+                ("live_islands", ff_obs::LogValue::U64(live as u64)),
             ],
         );
-        if !more.iter().any(|&b| b) {
-            break;
+        self.epoch += 1;
+        Ok(advanced)
+    }
+
+    /// The fetch is read-only (not logged); the injections it feeds
+    /// carry the molecule bytes in the log, which is what makes replay
+    /// self-contained.
+    fn molecule(&mut self, i: usize) -> Result<Partition, String> {
+        let (w, local) = place(i, self.conns.len());
+        let conn = &mut self.conns[w];
+        let req = Request::WMolecule {
+            session: conn.session,
+            island: local,
+        };
+        match conn.call_logged(req, self.opts, false)? {
+            Event::WMolecule { molecule, .. } => partition_of(self.g, molecule),
+            other => Err(conn.unexpected("wmolecule", &other)),
         }
-        if n > 1 && spec.interval > 0 {
-            let statuses: Vec<IslandStatus> = (0..n)
-                .map(|i| IslandStatus {
-                    objective: spec.objectives[i],
-                    best_energy: energy[i],
-                })
-                .collect();
-            for offer in migration.plan(&statuses) {
-                // Offers move within disjoint objective groups, so a
-                // donor fetched at execution time equals one fetched at
-                // plan time — the same invariant the in-process
-                // `exchange` relies on. The fetch is read-only (not
-                // logged); the injections it feeds carry the molecule
-                // bytes in the log, which is what makes replay
-                // self-contained.
-                let dw = offer.donor % w_eff;
-                let req = Request::WMolecule {
-                    session: conns[dw].session,
-                    island: conns[dw].local(offer.donor),
-                };
-                let molecule = match conns[dw].call_logged(req, opts, false)? {
-                    Event::WMolecule { molecule, .. } => molecule,
-                    other => return Err(conns[dw].unexpected("wmolecule", &other)),
-                };
-                for &r in &offer.receivers {
-                    let rw = r % w_eff;
-                    let req = Request::WInject {
-                        session: conns[rw].session,
-                        island: conns[rw].local(r),
-                        molecule: molecule.clone(),
-                        crossover: offer.crossover,
-                    };
-                    match conns[rw].call_logged(req, opts, true)? {
-                        Event::WInjected { adopted, .. } => {
-                            if adopted {
-                                migrations_adopted += 1;
-                            }
-                        }
-                        other => return Err(conns[rw].unexpected("winjected", &other)),
+    }
+
+    fn inject(&mut self, i: usize, molecule: &Partition, crossover: bool) -> Result<bool, String> {
+        let (w, local) = place(i, self.conns.len());
+        let conn = &mut self.conns[w];
+        let req = Request::WInject {
+            session: conn.session,
+            island: local,
+            molecule: MoleculeInfo {
+                assignment: molecule.assignment().to_vec(),
+                parts: molecule.num_parts(),
+            },
+            crossover,
+        };
+        match conn.call_logged(req, self.opts, true)? {
+            Event::WInjected { adopted, .. } => Ok(adopted),
+            other => Err(conn.unexpected("winjected", &other)),
+        }
+    }
+
+    /// The harvest is deliberately *not* logged: a worker lost
+    /// mid-harvest is replayed to the same epoch and asked again.
+    fn harvest(mut self) -> Result<Vec<FusionFissionResult>, String> {
+        let mut islands: Vec<Option<FusionFissionResult>> =
+            (0..self.objectives.len()).map(|_| None).collect();
+        for conn in &mut self.conns {
+            let req = Request::WHarvest {
+                session: conn.session,
+            };
+            match conn.call_logged(req, self.opts, false)? {
+                Event::WHarvested {
+                    islands: results, ..
+                } => {
+                    // Each island's result is its wire harvest plus the
+                    // trace accumulated epoch by epoch.
+                    for r in results {
+                        let gi = conn.global(r.island)?;
+                        islands[gi] = Some(FusionFissionResult {
+                            best: partition_of(self.g, r.molecule)?,
+                            best_value: r.value,
+                            best_energy: r.energy,
+                            steps: r.steps,
+                            trace: std::mem::take(&mut self.traces[gi]),
+                            best_value_per_k: r
+                                .per_k
+                                .iter()
+                                .map(|&(k, v)| (k as usize, v))
+                                .collect(),
+                        });
                     }
                 }
+                other => return Err(conn.unexpected("wharvested", &other)),
             }
         }
-        epoch += 1;
-    }
-
-    // Harvest every shard and rebuild per-island results. The harvest is
-    // deliberately *not* logged: a worker lost mid-harvest is replayed
-    // to the same epoch and asked again.
-    let mut islands_out: Vec<Option<FusionFissionResult>> = (0..n).map(|_| None).collect();
-    for conn in &mut conns {
-        let req = Request::WHarvest {
-            session: conn.session,
-        };
-        match conn.call_logged(req, opts, false)? {
-            Event::WHarvested { islands, .. } => {
-                for r in islands {
-                    let gi = conn.global(r.island)?;
-                    islands_out[gi] = Some(rebuild_island(g, r, &mut traces[gi])?);
-                }
-            }
-            other => return Err(conn.unexpected("wharvested", &other)),
+        for conn in self.conns {
+            conn.close();
         }
+        islands
+            .into_iter()
+            .enumerate()
+            .map(|(i, r)| r.ok_or(format!("worker omitted island {i} from its harvest")))
+            .collect()
     }
-    for conn in conns {
-        conn.close();
-    }
-    let islands: Vec<FusionFissionResult> = islands_out
-        .into_iter()
-        .enumerate()
-        .map(|(i, r)| r.ok_or(format!("worker omitted island {i} from its harvest")))
-        .collect::<Result<_, _>>()?;
-    Ok(reduce(g, spec, islands, migrations_adopted))
 }
 
-/// Rebuilds one island's [`FusionFissionResult`] from its wire harvest
-/// plus the improvement trace accumulated epoch by epoch.
-fn rebuild_island(
-    g: &Graph,
-    r: crate::protocol::WIslandResult,
-    trace: &mut AnytimeTrace,
-) -> Result<FusionFissionResult, String> {
-    if r.molecule.assignment.len() != g.num_vertices() {
+/// A molecule received from a worker, checked against the instance.
+fn partition_of(g: &Graph, molecule: MoleculeInfo) -> Result<Partition, String> {
+    if molecule.assignment.len() != g.num_vertices() {
         return Err(format!(
-            "harvested molecule has {} vertices, instance has {}",
-            r.molecule.assignment.len(),
+            "worker molecule has {} vertices, instance has {}",
+            molecule.assignment.len(),
             g.num_vertices()
         ));
     }
-    Ok(FusionFissionResult {
-        best: Partition::from_assignment(g, r.molecule.assignment, r.molecule.parts),
-        best_value: r.value,
-        best_energy: r.energy,
-        steps: r.steps,
-        trace: std::mem::take(trace),
-        best_value_per_k: r.per_k.iter().map(|&(k, v)| (k as usize, v)).collect(),
-    })
-}
-
-/// The coordinator-side ending of `SolverRun::harvest`: same reduction,
-/// same primary-objective trace merge, same field-by-field assembly.
-fn reduce(
-    g: &Graph,
-    spec: &DistSpec,
-    islands: Vec<FusionFissionResult>,
-    migrations_adopted: u64,
-) -> EnsembleResult {
-    let distinct = distinct_objectives(&spec.objectives);
-    let reduction: Box<dyn Reduction> = if spec.pareto {
-        Box::new(ParetoFront)
-    } else {
-        Box::new(MinEnergy)
-    };
-    let reduced = reduction.reduce(g, &islands, &distinct);
-    let primary = distinct[0];
-    let primary_islands = || {
-        islands
-            .iter()
-            .filter(move |r| r.trace.tag().unwrap_or(primary) == primary)
-    };
-    let trace = AnytimeTrace::merged(primary_islands().map(|r| &r.trace));
-    let mut best_value_per_k = BTreeMap::new();
-    for r in primary_islands() {
-        for (&k, &v) in &r.best_value_per_k {
-            let entry = best_value_per_k.entry(k).or_insert(f64::INFINITY);
-            if v < *entry {
-                *entry = v;
-            }
-        }
-    }
-    EnsembleResult {
-        best: islands[reduced.best_island].best.clone(),
-        best_value: islands[reduced.best_island].best_value,
-        best_island: reduced.best_island,
-        steps: islands.iter().map(|r| r.steps).sum(),
-        migrations_adopted,
-        trace,
-        best_value_per_k,
-        pareto: reduced.pareto,
-        multilevel: None,
-        islands,
-    }
+    Ok(Partition::from_assignment(
+        g,
+        molecule.assignment,
+        molecule.parts,
+    ))
 }
 
 /// One worker's connection recipe, kept for respawn/reconnect.
@@ -506,30 +584,20 @@ impl WorkerConn {
             .ok_or(format!("{}: reported unknown island {local}", self.label))
     }
 
-    /// Maps a global island index to this worker's local one. Panics if
-    /// the island is not hosted here — a coordinator logic error.
-    fn local(&self, global: usize) -> usize {
-        self.islands
-            .iter()
-            .position(|&i| i == global)
-            // lint: allow(PANIC_PATH) — routing table is coordinator-built; a miss is a
-            // coordinator logic error, not client-reachable input.
-            .expect("island routed to the worker hosting it")
-    }
-
     fn unexpected(&self, wanted: &str, got: &Event) -> String {
         format!("{}: expected `{wanted}` reply, got {:?}", self.label, got)
     }
 
-    /// One request/reply round, no recovery.
-    fn call(&mut self, req: &Request, timeout: Duration) -> Result<Event, WireFail> {
+    /// Writes one request line.
+    fn send(&mut self, req: &Request) -> Result<(), WireFail> {
         let line = req.to_value().to_string();
-        if writeln!(self.writer, "{line}")
+        writeln!(self.writer, "{line}")
             .and_then(|_| self.writer.flush())
-            .is_err()
-        {
-            return Err(WireFail::Dead("write failed (pipe closed)".into()));
-        }
+            .map_err(|_| WireFail::Dead("write failed (pipe closed)".into()))
+    }
+
+    /// Reads one event line.
+    fn recv(&mut self, timeout: Duration) -> Result<Event, WireFail> {
         match self.rx.recv_timeout(timeout) {
             Ok(Ok(line)) => Event::parse(line.trim()).map_err(WireFail::Corrupt),
             Ok(Err(e)) => Err(WireFail::Dead(e.to_string())),
@@ -540,14 +608,33 @@ impl WorkerConn {
         }
     }
 
-    /// A reliable call: on any wire failure the worker is respawned,
-    /// its op log replayed, and `req` re-sent — repeated within the
-    /// respawn budget. An `error` *event* is not a wire failure; it
-    /// means a healthy worker rejected the op, which is fatal. When
-    /// `log` is set, a completed `req` is appended to the replay log.
+    /// One request/reply round, no recovery.
+    fn call(&mut self, req: &Request, timeout: Duration) -> Result<Event, WireFail> {
+        self.send(req)?;
+        self.recv(timeout)
+    }
+
+    /// A reliable call: see [`WorkerConn::settle`].
     fn call_logged(&mut self, req: Request, opts: &DistOpts, log: bool) -> Result<Event, String> {
+        let first = self.call(&req, opts.reply_timeout);
+        self.settle(req, first, opts, log)
+    }
+
+    /// Completes a call whose first attempt already ran: on any wire
+    /// failure the worker is respawned, its op log replayed, and `req`
+    /// re-sent — repeated within the respawn budget. An `error` *event*
+    /// is not a wire failure; it means a healthy worker rejected the op,
+    /// which is fatal. When `log` is set, a completed `req` is appended
+    /// to the replay log.
+    fn settle(
+        &mut self,
+        req: Request,
+        mut attempt: Result<Event, WireFail>,
+        opts: &DistOpts,
+        log: bool,
+    ) -> Result<Event, String> {
         loop {
-            match self.call(&req, opts.reply_timeout) {
+            match attempt {
                 Ok(Event::Error { message, .. }) => {
                     return Err(format!("{}: {message}", self.label))
                 }
@@ -581,6 +668,7 @@ impl WorkerConn {
                         ],
                     );
                     self.reopen_and_replay(opts)?;
+                    attempt = self.call(&req, opts.reply_timeout);
                 }
             }
         }
@@ -628,17 +716,9 @@ impl WorkerConn {
     }
 
     fn handshake(&mut self, opts: &DistOpts) -> Result<(), WireFail> {
-        match self.rx.recv_timeout(opts.reply_timeout) {
-            Ok(Ok(line)) => match Event::parse(line.trim()) {
-                Ok(Event::Hello { .. }) => Ok(()),
-                Ok(other) => Err(WireFail::Corrupt(format!("expected hello, got {other:?}"))),
-                Err(e) => Err(WireFail::Corrupt(e)),
-            },
-            Ok(Err(e)) => Err(WireFail::Dead(e.to_string())),
-            Err(RecvTimeoutError::Timeout) => Err(WireFail::Timeout),
-            Err(RecvTimeoutError::Disconnected) => {
-                Err(WireFail::Dead("reader thread exited".into()))
-            }
+        match self.recv(opts.reply_timeout)? {
+            Event::Hello { .. } => Ok(()),
+            other => Err(WireFail::Corrupt(format!("expected hello, got {other:?}"))),
         }
     }
 
@@ -767,24 +847,18 @@ mod tests {
     use super::*;
 
     #[test]
-    fn islands_are_assigned_round_robin_and_mapped_both_ways() {
-        // Pure index arithmetic — mirrors the assignment loop in
-        // solve_distributed without any I/O.
-        let n = 5;
-        let w_eff = 2;
-        let mut islands: Vec<Vec<usize>> = vec![Vec::new(); w_eff];
+    fn placement_is_round_robin_with_dense_local_indices() {
+        let (n, workers) = (5, 2);
+        let mut hosted: Vec<Vec<usize>> = vec![Vec::new(); workers];
         for i in 0..n {
-            islands[i % w_eff].push(i);
+            let (w, local) = place(i, workers);
+            // Islands reach each shard in ascending order, so a shard's
+            // local index is its position in the hosted list.
+            assert_eq!(local, hosted[w].len());
+            hosted[w].push(i);
         }
-        assert_eq!(islands[0], vec![0, 2, 4]);
-        assert_eq!(islands[1], vec![1, 3]);
-        // local -> global -> local round-trips.
-        for (w, hosted) in islands.iter().enumerate() {
-            for (local, &global) in hosted.iter().enumerate() {
-                assert_eq!(global % w_eff, w);
-                assert_eq!(hosted.iter().position(|&i| i == global), Some(local));
-            }
-        }
+        assert_eq!(hosted, vec![vec![0, 2, 4], vec![1, 3]]);
+        assert_eq!(place(4, 1), (0, 4));
     }
 
     #[test]

@@ -100,9 +100,11 @@ fn base_config(spec: &JobRequest) -> FusionFissionConfig {
     }
 }
 
-/// The [`Solver`] a job request describes — the single definition both
-/// the submit-time validation and the driver thread use, so a job that
-/// was admitted can never fail to start.
+/// The [`Solver`] a job request describes — the single definition the
+/// submit-time validation, the driver thread and a federated
+/// coordinator ([`solve_on_workers`](crate::solve_on_workers)) use, so a
+/// job that was admitted can never fail to start and a federated job
+/// matches the single-server one.
 ///
 /// Byte-compat notes: a single-island job's root seed *is* its island
 /// seed (the historical `run_single` contract), while multi-island jobs
@@ -110,7 +112,7 @@ fn base_config(spec: &JobRequest) -> FusionFissionConfig {
 /// thread so a job never holds more compute than the single pool slot
 /// its permit represents; the cooperative `chunk` doubles as the
 /// migration interval.
-pub(crate) fn job_solver<'g>(spec: &JobRequest, graph: &'g Graph) -> Solver<'g> {
+pub fn job_solver<'g>(spec: &JobRequest, graph: &'g Graph) -> Solver<'g> {
     let mut solver = Solver::on(graph)
         .config(base_config(spec))
         .islands(spec.islands)

@@ -16,7 +16,7 @@
 //! * **Worker pool** ([`gate`]): a FIFO-fair permit gate. Jobs hold a
 //!   cheap parked thread and only compute while holding one of N
 //!   permits, advancing their [`ff_core::FusionFissionRun`] /
-//!   [`ff_engine::EnsembleRun`] a chunk at a time — M in-flight jobs
+//!   [`ff_engine::SolverRun`] a chunk at a time — M in-flight jobs
 //!   share N slots round-robin instead of queueing whole-job. Permit
 //!   wait times are histogrammed into `stats`.
 //! * **Admission control** ([`ServerConfig::max_jobs`],
@@ -29,14 +29,14 @@
 //!   large the graph), and a byte budget ([`ServerConfig::cache_bytes`])
 //!   evicts least-recently-used instances — never one pinned by a
 //!   running job.
-//! * **Distributed islands** ([`dist`]): a coordinator that shards an
-//!   ensemble's islands across worker *processes* — spawned `ffpart
-//!   worker` children or remote `ffpart serve` servers — and drives
-//!   them in deterministic lockstep epochs over typed `w*` NDJSON
-//!   messages. Results are byte-identical to the in-process
-//!   [`ff_engine::Solver`], for any worker count, and stay so when
-//!   workers crash: every state-changing op is logged and replayed
-//!   into a respawned worker.
+//! * **Distributed islands** ([`dist`]): the engine's own epoch loop
+//!   ([`ff_engine::SolverRun`]) on an island host that shards the
+//!   islands across worker *processes* — spawned `ffpart worker`
+//!   children or remote `ffpart serve` servers — over typed `w*` NDJSON
+//!   messages; the shards compute each epoch concurrently. Results are
+//!   byte-identical to the in-process [`ff_engine::Solver`], for any
+//!   worker count, and stay so when workers crash: every
+//!   state-changing op is logged and replayed into a respawned worker.
 //! * **Durability** ([`journal`], [`ServerConfig::journal`]): an
 //!   append-only NDJSON job journal with length/checksum framing.
 //!   Binding replays it: finished jobs are restored into the HTTP
@@ -159,8 +159,8 @@
 //!
 //! ## Distributed islands example
 //!
-//! Two live servers stand in for remote hosts; the coordinator drives
-//! one island on each and reduces exactly like the in-process solver:
+//! Two live servers stand in for remote hosts; the coordinator runs the
+//! solver's own epoch loop with one island on each:
 //!
 //! ```
 //! use ff_service::dist::{solve_distributed, DistOpts, DistSpec, WorkerSet};
@@ -286,7 +286,7 @@ pub use cache::{
     CacheEntryInfo, CacheStats, GraphFormat, GraphSource, InstanceCache, LoadOutcome, PinnedGraph,
 };
 pub use client::{Client, JobCanceller, SubmitOutcome};
-pub use dist::{solve_distributed, DistOpts, DistSpec, WorkerSet};
+pub use dist::{solve_distributed, solve_on_workers, wire_setups, DistOpts, DistSpec, WorkerSet};
 pub use gate::{FairGate, Permit, WAIT_BUCKETS, WAIT_BUCKET_MS};
 pub use job::EventSink;
 pub use journal::{

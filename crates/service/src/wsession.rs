@@ -1,23 +1,25 @@
-//! Worker sessions: a shard of a distributed ensemble hosted in this
-//! process, driven in lockstep by a remote coordinator.
+//! Worker sessions: one shard of a distributed run's islands, hosted in
+//! this process for a remote coordinator.
 //!
-//! A coordinator splits a job's islands across worker processes and
-//! drives them with the `w*` NDJSON ops: `wstart` creates a session (a
+//! The coordinator runs the engine's one epoch loop and reaches its
+//! islands through the `w*` NDJSON ops: `wstart` creates a session (a
 //! dedicated thread owning the islands' [`FusionFissionRun`]s),
 //! `wadvance` runs one epoch on every island, `wmolecule`/`winject`
 //! carry migration payloads across the process boundary, and `wharvest`
-//! finalizes. The session thread validates that `wadvance` epochs arrive
-//! in order — after a crash the coordinator replays its op log from
-//! epoch 0 against a fresh session, and the check makes a divergent
-//! replay fail loudly instead of silently desynchronizing.
+//! finalizes. Shards advance their epochs concurrently — each session
+//! holds its own gate permit while it computes. The session thread
+//! validates that `wadvance` epochs arrive in order — after a crash the
+//! coordinator replays its op log from epoch 0 against a fresh session,
+//! and the check makes a divergent replay fail loudly instead of
+//! silently desynchronizing.
 //!
 //! Determinism contract: an island's state is a pure function of its
-//! seed and injection history. A session configures each island exactly
-//! like [`Solver`](ff_engine::Solver) does in-process (`standard(k)`
-//! plus the objective and a step budget) and injected molecules are
-//! rebuilt from their assignment on arrival, so a distributed run is
-//! byte-identical to the single-process run with the same seeds and
-//! epoch schedule.
+//! seed and injection history. A session builds each island with
+//! [`island_config`], the one configuration the wire can express (the
+//! coordinator refuses any [`Solver`](ff_engine::Solver) whose islands
+//! differ from it), and injected molecules are rebuilt from their
+//! assignment on arrival, so a distributed run is byte-identical to the
+//! single-process run with the same seeds and epoch schedule.
 
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -27,7 +29,7 @@ use std::sync::Arc;
 use ff_core::{FusionFission, FusionFissionConfig, FusionFissionRun};
 use ff_graph::Graph;
 use ff_metaheur::StopCondition;
-use ff_partition::Partition;
+use ff_partition::{Objective, Partition};
 
 use crate::cache::PinnedGraph;
 use crate::gate::FairGate;
@@ -101,19 +103,36 @@ impl FaultMode {
         Some(FaultMode { kind, epoch, flag })
     }
 
-    /// True if the fault should fire now; marks the flag file so a
-    /// replayed epoch doesn't re-fire.
+    /// True if the fault should fire now. With a flag, only the caller
+    /// that creates the flag file fires — atomically, so neither a
+    /// replayed epoch nor a second worker reaching the epoch at the same
+    /// moment fires again.
     fn fire_once(&self, epoch: u64) -> bool {
         if epoch != self.epoch {
             return false;
         }
-        if let Some(flag) = &self.flag {
-            if flag.exists() {
-                return false;
-            }
-            let _ = std::fs::File::create(flag);
+        match &self.flag {
+            Some(flag) => match std::fs::OpenOptions::new()
+                .write(true)
+                .create_new(true)
+                .open(flag)
+            {
+                Ok(_) => true,
+                Err(e) => e.kind() != std::io::ErrorKind::AlreadyExists,
+            },
+            None => true,
         }
-        true
+    }
+}
+
+/// The one island configuration the `w*` wire can express: the paper's
+/// standard parameters for `k`, the island's objective and a pure step
+/// budget.
+pub(crate) fn island_config(k: usize, objective: Objective, steps: u64) -> FusionFissionConfig {
+    FusionFissionConfig {
+        objective,
+        stop: StopCondition::steps(steps),
+        ..FusionFissionConfig::standard(k)
     }
 }
 
@@ -139,7 +158,8 @@ pub(crate) fn start_session(
     if start.k > n {
         return Err(format!("k {} exceeds {} vertices", start.k, n));
     }
-    FusionFissionConfig::standard(start.k)
+    // Validity depends on k alone, not on the island's objective.
+    island_config(start.k, Objective::MCut, start.steps)
         .try_validate()
         .map_err(|e| format!("invalid session configuration: {e}"))?;
     let (tx, rx) = std::sync::mpsc::channel();
@@ -168,21 +188,12 @@ fn run_session(
 ) {
     let session = start.session;
     let g: &Graph = graph.graph();
-    // Island i gets exactly the config Solver::start_flat would build:
-    // the standard paper parameters for k, the island's objective, and a
-    // pure step budget. Anything else would break byte-compatibility
-    // with the in-process run.
     let mut runs: Vec<FusionFissionRun<'_>> = start
         .seeds
         .iter()
         .zip(&start.objectives)
         .map(|(&seed, &objective)| {
-            let cfg = FusionFissionConfig {
-                objective,
-                stop: StopCondition::steps(start.steps),
-                ..FusionFissionConfig::standard(start.k)
-            };
-            FusionFission::new(g, cfg, seed).start()
+            FusionFission::new(g, island_config(start.k, objective, start.steps), seed).start()
         })
         .collect();
     let mut cursors = vec![0usize; runs.len()];
@@ -386,6 +397,28 @@ mod tests {
         assert!(!f.fire_once(1), "wrong epoch never fires");
         assert!(f.fire_once(2), "armed fault fires");
         assert!(!f.fire_once(2), "flag file suppresses the replayed epoch");
+        let _ = std::fs::remove_file(&dir);
+
+        // Two workers reaching the armed epoch together: one fires.
+        for round in 0..20 {
+            let _ = std::fs::remove_file(&dir);
+            let barrier = std::sync::Barrier::new(2);
+            let fired: usize = std::thread::scope(|scope| {
+                let racers: Vec<_> = (0..2)
+                    .map(|_| {
+                        scope.spawn(|| {
+                            barrier.wait();
+                            f.fire_once(2)
+                        })
+                    })
+                    .collect();
+                racers
+                    .into_iter()
+                    .map(|r| usize::from(r.join().unwrap()))
+                    .sum()
+            });
+            assert_eq!(fired, 1, "round {round}: racing workers must fire once");
+        }
         let _ = std::fs::remove_file(&dir);
     }
 }
