@@ -77,12 +77,9 @@ fn parse_params(args: &[String]) -> Params {
             "--islands" => p.islands = val().parse().expect("bad --islands"),
             "--coarsen-until" => p.coarsen_until = val().parse().expect("bad --coarsen-until"),
             "--objective" => {
-                p.objective = match val().as_str() {
-                    "cut" => Objective::Cut,
-                    "ncut" => Objective::NCut,
-                    "mcut" => Objective::MCut,
-                    other => panic!("unknown objective {other}"),
-                }
+                let name = val();
+                p.objective =
+                    Objective::parse(name).unwrap_or_else(|| panic!("unknown objective {name}"));
             }
             "--assert" => p.assert_bar = true,
             other => panic!("unknown flag {other}"),

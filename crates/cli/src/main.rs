@@ -196,32 +196,15 @@ fn parse_method(name: &str) -> Option<MethodId> {
     })
 }
 
-fn parse_objective(name: &str) -> Option<Objective> {
-    Some(match name {
-        "cut" => Objective::Cut,
-        "ncut" => Objective::NCut,
-        "mcut" => Objective::MCut,
-        _ => return None,
-    })
-}
-
 /// Parses `-o`'s comma list (`cut`, `cut,ncut,mcut`, …). Order is kept —
 /// the first objective is the primary one a Pareto run reports its
 /// representative under.
 fn parse_objective_list(list: &str) -> Option<Vec<Objective>> {
     let objectives: Option<Vec<Objective>> = list
         .split(',')
-        .map(|name| parse_objective(name.trim()))
+        .map(|name| Objective::parse(name.trim()))
         .collect();
     objectives.filter(|l| !l.is_empty())
-}
-
-fn objective_label(o: Objective) -> &'static str {
-    match o {
-        Objective::Cut => "cut",
-        Objective::NCut => "ncut",
-        Objective::MCut => "mcut",
-    }
 }
 
 /// One row of a rendered Pareto front:
@@ -235,12 +218,12 @@ fn print_front(front: &[FrontRow]) {
     for (island, objective, values, parts) in front {
         let values: Vec<String> = values
             .iter()
-            .map(|&(o, v)| format!("{} {:.6}", objective_label(o), v))
+            .map(|&(o, v)| format!("{} {:.6}", o.name(), v))
             .collect();
         println!(
             "  island {} [{}]  {}  parts {}",
             island,
-            objective_label(*objective),
+            objective.name(),
             values.join("  "),
             parts
         );
@@ -901,7 +884,7 @@ fn submit_attempt(
                 if !quiet {
                     let tag = imp
                         .objective
-                        .map(|o| format!(" objective={}", objective_label(o)))
+                        .map(|o| format!(" objective={}", o.name()))
                         .unwrap_or_default();
                     println!(
                         "improvement job={} value={:.6} step={} t={}ms island={}{tag}",

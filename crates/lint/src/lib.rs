@@ -8,7 +8,7 @@
 //! |---|---|---|
 //! | determinism | `DET_WALLCLOCK`, `DET_HASH_ITER`, `DET_UNSEEDED_RNG` | the deterministic crates |
 //! | lock order | `LOCK_CYCLE` | `ff-service` + `ff-obs` |
-//! | wire strictness | `WIRE_STRICT`, `WIRE_FIELD` | `protocol.rs`, `journal.rs` |
+//! | wire strictness | `WIRE_STRICT`, `WIRE_FIELD` | `protocol.rs`, `journal.rs`, `wire.rs` |
 //! | panic paths | `PANIC_PATH` | request-handling / job-driver files |
 //!
 //! Plus `BASELINE_STALE` for exception entries that no longer match
@@ -51,6 +51,7 @@ pub const LOCK_SCOPE: &[&str] = &["crates/service/src", "crates/obs/src"];
 pub const WIRE_FILES: &[&str] = &[
     "crates/service/src/protocol.rs",
     "crates/service/src/journal.rs",
+    "crates/service/src/wire.rs",
 ];
 
 /// Request-handling / job-driver files where panics are forbidden.

@@ -1,10 +1,12 @@
 //! Wire-strictness lint for the JSON protocol layer.
 //!
-//! Every message parsed off the wire (`protocol.rs`, `journal.rs`,
-//! including the dist `w*` lockstep messages whose arms live in
-//! `protocol.rs`) must reject unknown fields by name — that is what
-//! catches the `objctives`-typo class at the sender instead of as a
-//! silent default at the receiver. Two lints enforce the pattern:
+//! Every message parsed off the wire must reject unknown fields by name
+//! — that is what catches the `objctives`-typo class at the sender
+//! instead of as a silent default at the receiver. The service declares
+//! its messages in a `wire!` schema whose generated decoders do this by
+//! construction; this lint keeps hand-written decoders in the wire files
+//! (`protocol.rs`, `journal.rs`, `wire.rs`) to the same rule. Two lints
+//! enforce the pattern:
 //!
 //! - `WIRE_STRICT` — a string-literal match arm (or an arm-less
 //!   `parse`/`from_value` body) extracts fields without calling

@@ -38,6 +38,21 @@ impl Objective {
     pub fn all() -> [Objective; 3] {
         [Objective::Cut, Objective::NCut, Objective::MCut]
     }
+
+    /// The criterion's name on the wire and the command line: `cut`,
+    /// `ncut` or `mcut`.
+    pub fn name(&self) -> &'static str {
+        match self {
+            Objective::Cut => "cut",
+            Objective::NCut => "ncut",
+            Objective::MCut => "mcut",
+        }
+    }
+
+    /// The inverse of [`Objective::name`].
+    pub fn parse(name: &str) -> Option<Objective> {
+        Objective::all().into_iter().find(|o| o.name() == name)
+    }
 }
 
 impl std::fmt::Display for Objective {

@@ -280,6 +280,7 @@ pub mod obs;
 pub mod protocol;
 pub mod server;
 mod sync;
+mod wire;
 mod wsession;
 
 pub use cache::{

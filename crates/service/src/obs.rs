@@ -4,14 +4,15 @@
 //!
 //! Two update disciplines keep every metric observation-only:
 //!
-//! * **Event-time**: completions by status, job durations, permit waits
-//!   and connection traffic are recorded where the event happens — all
-//!   outside the engine's RNG/chunking path.
-//! * **Scrape-time mirrors**: counters the server already keeps for
-//!   `stats` (submits, rejections, cache traffic) are raised to the
-//!   authoritative snapshot on every scrape via [`Counter::raise_to`],
-//!   so `/metrics` stays monotone and can never disagree with `stats`
-//!   on direction.
+//! * **Event-time**: submits, rejections, completions by status, job
+//!   durations, permit waits and connection traffic are recorded where
+//!   the event happens — all outside the engine's RNG/chunking path.
+//!   The submit and rejection counters are the only store of those
+//!   counts: the `stats` event reads them back.
+//! * **Scrape-time mirrors**: counters the cache keeps for `stats`
+//!   (hits, loads, evictions) are raised to the authoritative snapshot
+//!   on every scrape via [`Counter::raise_to`], so `/metrics` stays
+//!   monotone and can never disagree with `stats` on direction.
 //!
 //! The registry is always live (a scrape of an idle server reports
 //! zeros — families are pre-registered so the catalog is visible from
@@ -39,6 +40,10 @@ pub(crate) struct Metrics {
     pub(crate) registry: Registry,
     pub(crate) logger: Logger,
     // Event-time.
+    /// Jobs admitted; `stats` reads its `jobs_submitted` from here.
+    pub(crate) submitted: Counter,
+    /// Submits refused by admission control (`stats`' `jobs_rejected`).
+    pub(crate) rejected: Counter,
     completed: Counter,
     cancelled: Counter,
     deadline: Counter,
@@ -46,8 +51,6 @@ pub(crate) struct Metrics {
     job_duration_ms: Histogram,
     permit_wait_ms: Histogram,
     // Scrape-time mirrors of the counters `stats` owns.
-    submitted: Counter,
-    rejected: Counter,
     cache_hits: Counter,
     cache_loads: Counter,
     cache_evictions: Counter,
@@ -237,8 +240,6 @@ impl Metrics {
     /// and sets the point-in-time gauges. Called on every `stats`
     /// request and `/metrics` scrape.
     pub(crate) fn sync(&self, st: &StatsInfo) {
-        self.submitted.raise_to(st.jobs_submitted);
-        self.rejected.raise_to(st.jobs_rejected);
         self.cache_hits.raise_to(st.cache_hits);
         self.cache_loads.raise_to(st.cache_loads);
         self.cache_evictions.raise_to(st.cache_evictions);
@@ -443,15 +444,15 @@ mod tests {
     fn sync_mirrors_are_monotone_even_on_stale_snapshots() {
         let m = Metrics::new(Registry::new(), Logger::off());
         let mut st = StatsInfo {
-            jobs_submitted: 10,
+            cache_hits: 10,
             ..StatsInfo::default()
         };
         m.sync(&st);
-        st.jobs_submitted = 7; // a lagging snapshot must not lower it
+        st.cache_hits = 7; // a lagging snapshot must not lower it
         m.sync(&st);
         let page = m.registry.render();
         assert!(
-            page.contains("ff_jobs_submitted_total 10"),
+            page.contains("ff_cache_hits_total 10"),
             "counter regressed:\n{page}"
         );
     }

@@ -98,9 +98,7 @@ pub(crate) struct ServerState {
     /// Completion order of HTTP jobs, for bounded log retention.
     finished_logs: Mutex<VecDeque<u64>>,
     next_job: AtomicU64,
-    submitted: AtomicU64,
     finished: AtomicU64,
-    rejected: AtomicU64,
     shutdown: AtomicBool,
     /// The always-on metrics registry (behind `GET /metrics` and the
     /// extended `stats` event) plus the opt-in operational logger.
@@ -137,9 +135,7 @@ impl ServerState {
             logs: Mutex::new(HashMap::new()),
             finished_logs: Mutex::new(VecDeque::new()),
             next_job: AtomicU64::new(1),
-            submitted: AtomicU64::new(0),
             finished: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
             metrics,
             journal,
@@ -208,11 +204,11 @@ impl ServerState {
             cache_evictions: cache.evictions,
             cache_bytes: cache.bytes,
             cache_budget_bytes: cache.budget,
-            jobs_submitted: self.submitted.load(Ordering::Relaxed),
+            jobs_submitted: self.metrics.submitted.get(),
             jobs_running: lock(&self.jobs).len() as u64,
             jobs_done: self.finished.load(Ordering::Relaxed),
             jobs_cancelled: self.metrics.jobs_cancelled(),
-            jobs_rejected: self.rejected.load(Ordering::Relaxed),
+            jobs_rejected: self.metrics.rejected.get(),
             max_jobs: self.max_jobs as u64,
             workers: self.workers,
             gate_queued: self.gate.queued(),
@@ -316,9 +312,9 @@ fn replay_journal(state: &Arc<ServerState>, path: &str) -> std::io::Result<Repla
     }
     // Counters: restored monotonically, never re-counted by replay.
     state.next_job.store(max_job + 1, Ordering::Relaxed);
-    state.submitted.store(specs.len() as u64, Ordering::Relaxed);
+    state.metrics.submitted.raise_to(specs.len() as u64);
     state.finished.store(dones.len() as u64, Ordering::Relaxed);
-    state.rejected.store(rejected, Ordering::Relaxed);
+    state.metrics.rejected.raise_to(rejected);
     let (mut completed, mut cancelled, mut deadline) = (0u64, 0u64, 0u64);
     for (done, _) in dones.values() {
         match done.status {
@@ -831,7 +827,7 @@ pub(crate) fn submit_job(
         let mut jobs = lock(&state.jobs);
         let in_flight = jobs.len() as u64;
         let reject = |reason: String| {
-            state.rejected.fetch_add(1, Ordering::Relaxed);
+            state.metrics.rejected.inc();
             state.metrics.logger.log(
                 "reject",
                 None,
@@ -904,7 +900,7 @@ pub(crate) fn submit_job(
             job: None,
         };
     }
-    state.submitted.fetch_add(1, Ordering::Relaxed);
+    state.metrics.submitted.inc();
     state.metrics.logger.log(
         "submit",
         Some(job_id),
