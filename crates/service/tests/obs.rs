@@ -289,6 +289,65 @@ fn http_metrics_scrape_is_valid_exposition_covering_every_layer() {
     handle.join().unwrap();
 }
 
+#[test]
+fn stats_event_agrees_with_metrics_scrape_including_worker_sessions() {
+    let handle = Server::bind_with(
+        "127.0.0.1:0",
+        ServerConfig {
+            workers: 2,
+            http: Some("127.0.0.1:0".into()),
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap()
+    .spawn()
+    .unwrap();
+    // A served job, then a distributed job whose worker sessions run on
+    // this server and acquire its gate.
+    run_golden(&handle);
+    let g = read_metis(GRID.as_bytes()).unwrap();
+    let spec = DistSpec {
+        instance: "grid".into(),
+        source: GraphSource::Data(GRID.into()),
+        format: GraphFormat::Metis,
+        k: 2,
+        steps: 2_000,
+        seeds: ff_engine::derive_seeds(7, 2),
+        objectives: vec![Objective::MCut; 2],
+        interval: 512,
+        migration: MigrationPolicyId::ReplaceIfBetter,
+        pareto: false,
+    };
+    let workers = WorkerSet::Connect {
+        addrs: vec![handle.addr().to_string()],
+    };
+    solve_distributed(&g, &spec, &workers, &DistOpts::default(), &mut |_, _| {}).unwrap();
+
+    let mut client = Client::connect(handle.addr()).unwrap();
+    let ff_service::Event::Stats(st) = client.stats().unwrap() else {
+        panic!("stats() returns the stats event");
+    };
+    let (_, _, page) = http(handle.http_addr().unwrap(), "GET", "/metrics");
+    let samples = parse_exposition(&page).unwrap();
+    let acquires = st.permit_wait_hist.iter().sum::<u64>();
+    assert!(acquires > 0);
+    assert_eq!(
+        acquires as f64,
+        sample(&samples, "ff_permit_wait_ms_count", &[]).value,
+        "every gate acquire, worker sessions included, is counted once"
+    );
+    for (name, value) in [
+        ("ff_cache_hits_total", st.cache_hits),
+        ("ff_cache_loads_total", st.cache_loads),
+        ("ff_cache_evictions_total", st.cache_evictions),
+    ] {
+        assert_eq!(sample(&samples, name, &[]).value, value as f64, "{name}");
+    }
+
+    client.shutdown().unwrap();
+    handle.join().unwrap();
+}
+
 // ------------------------------------------------- distributed coordinator
 
 /// A `Write` sink tests can read back — captures the coordinator's
