@@ -22,9 +22,14 @@
 //!   digest, not the source text itself: a 1 MB inline graph submitted
 //!   twice costs one parse and a few dozen bytes of cache metadata, and
 //!   `stats` output never scales with graph size.
+//!
+//! Hits, loads and evictions are counted straight into the server's
+//! metrics registry (`ff_cache_{hits,loads,evictions}_total`);
+//! [`InstanceCache::stats`] reads them back from there.
 
 use crate::sync::{lock, wait};
 use ff_graph::Graph;
+use ff_obs::{Counter, Registry};
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Condvar, Mutex};
 
@@ -119,9 +124,9 @@ struct CacheInner {
     bytes: usize,
     tick: u64,
     next_id: u64,
-    hits: u64,
-    loads: u64,
-    evictions: u64,
+    hits: Counter,
+    loads: Counter,
+    evictions: Counter,
 }
 
 /// The lock + the condvar loaders wait on while another thread parses.
@@ -242,20 +247,22 @@ impl CacheInner {
             let Some(key) = victim else { break };
             let gone = self.entries.remove(&key).unwrap();
             self.bytes -= gone.bytes;
-            self.evictions += 1;
+            self.evictions.inc();
         }
     }
 }
 
 impl InstanceCache {
-    /// An empty cache with no byte budget (nothing is ever evicted).
+    /// An empty cache with no byte budget (nothing is ever evicted),
+    /// counting into a registry of its own.
     pub fn new() -> Self {
-        Self::with_budget(0)
+        Self::with_budget(0, &Registry::new())
     }
 
     /// An empty cache evicting LRU entries past `budget` CSR bytes
-    /// (`0` = unlimited).
-    pub fn with_budget(budget: usize) -> Self {
+    /// (`0` = unlimited), counting hits, loads and evictions into
+    /// `registry`.
+    pub fn with_budget(budget: usize, registry: &Registry) -> Self {
         InstanceCache {
             shared: Arc::new(CacheShared {
                 inner: Mutex::new(CacheInner {
@@ -265,9 +272,15 @@ impl InstanceCache {
                     bytes: 0,
                     tick: 0,
                     next_id: 0,
-                    hits: 0,
-                    loads: 0,
-                    evictions: 0,
+                    hits: registry.counter("ff_cache_hits_total", "Instance-cache hits served"),
+                    loads: registry.counter(
+                        "ff_cache_loads_total",
+                        "Graph loads (parse + CSR build) performed",
+                    ),
+                    evictions: registry.counter(
+                        "ff_cache_evictions_total",
+                        "Instances evicted to stay within the cache byte budget",
+                    ),
                 }),
                 loaded_cv: Condvar::new(),
             }),
@@ -292,7 +305,7 @@ impl InstanceCache {
         loop {
             if inner.entries.get(key).is_some_and(|e| e.digest == digest) {
                 inner.tick += 1;
-                inner.hits += 1;
+                inner.hits.inc();
                 let tick = inner.tick;
                 let existing = inner.entries.get_mut(key).unwrap();
                 existing.last_use = tick;
@@ -322,7 +335,7 @@ impl InstanceCache {
         let bytes = graph.csr_bytes();
         inner.tick += 1;
         let tick = inner.tick;
-        inner.loads += 1;
+        inner.loads.inc();
         let id = inner.next_id;
         inner.next_id += 1;
         let replaced = inner.entries.insert(
@@ -362,7 +375,7 @@ impl InstanceCache {
         e.pins += 1;
         e.last_use = tick;
         let (graph, id) = (e.graph.clone(), e.id);
-        inner.hits += 1;
+        inner.hits.inc();
         Some(PinnedGraph {
             graph,
             key: key.to_string(),
@@ -380,7 +393,7 @@ impl InstanceCache {
         let e = inner.entries.get_mut(key)?;
         e.last_use = tick;
         let graph = e.graph.clone();
-        inner.hits += 1;
+        inner.hits.inc();
         Some(graph)
     }
 
@@ -390,13 +403,7 @@ impl InstanceCache {
     /// bytes changed across the restart invalidates its journaled jobs
     /// instead of silently re-executing them on different input.
     pub fn digest(&self, key: &str) -> Option<u64> {
-        self.shared
-            .inner
-            .lock()
-            .unwrap()
-            .entries
-            .get(key)
-            .map(|e| e.digest)
+        lock(&self.shared.inner).entries.get(key).map(|e| e.digest)
     }
 
     /// Number of instances currently cached.
@@ -409,16 +416,16 @@ impl InstanceCache {
         self.len() == 0
     }
 
-    /// Counter snapshot for `stats`.
+    /// Resident state plus the registry counters, for `stats`.
     pub fn stats(&self) -> CacheStats {
         let inner = lock(&self.shared.inner);
         CacheStats {
             instances: inner.entries.len(),
             bytes: inner.bytes as u64,
             budget: inner.budget as u64,
-            hits: inner.hits,
-            loads: inner.loads,
-            evictions: inner.evictions,
+            hits: inner.hits.get(),
+            loads: inner.loads.get(),
+            evictions: inner.evictions.get(),
         }
     }
 
@@ -528,7 +535,7 @@ mod tests {
         let probe = ff_graph::io::read_metis(TRIANGLE.as_bytes()).unwrap();
         let one = probe.csr_bytes();
         // Room for two triangles but not three.
-        let cache = InstanceCache::with_budget(2 * one + one / 2);
+        let cache = InstanceCache::with_budget(2 * one + one / 2, &Registry::new());
         load_data(&cache, "a", TRIANGLE);
         load_data(&cache, "b", TRIANGLE);
         // Touch `a` so `b` is the LRU entry.
@@ -555,7 +562,7 @@ mod tests {
     #[test]
     fn entry_too_big_for_budget_still_loads_then_everything_else_goes() {
         let probe = ff_graph::io::read_metis(PATH4.as_bytes()).unwrap();
-        let cache = InstanceCache::with_budget(probe.csr_bytes() - 1);
+        let cache = InstanceCache::with_budget(probe.csr_bytes() - 1, &Registry::new());
         load_data(&cache, "t", TRIANGLE);
         let (g, _) = load_data(&cache, "big", PATH4);
         assert_eq!(g.num_vertices(), 4, "the job still gets its graph");

@@ -9,21 +9,22 @@
 //! to completion. (A plain `Mutex`/semaphore gives no ordering guarantee;
 //! strict FIFO is what makes the sharing *fair*.)
 //!
-//! Every acquire also records how long it waited into a coarse
-//! logarithmic histogram ([`FairGate::wait_histogram`]) — the server's
-//! `stats` event exposes it, so operators can see contention building up
-//! *before* admission control starts rejecting.
+//! Every acquire also observes how long it waited into the registry's
+//! `ff_permit_wait_ms` histogram, whether a job driver or a worker
+//! session asked — `/metrics` and the `stats` event both expose it, so
+//! operators can see contention building up *before* admission control
+//! starts rejecting.
 
 use crate::sync::{lock, wait};
+use ff_obs::Histogram;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
 /// Number of buckets in the permit-wait histogram.
 pub const WAIT_BUCKETS: usize = 5;
 
-/// Upper bounds (exclusive, in milliseconds) of the first
+/// Upper bounds (inclusive, in milliseconds) of the first
 /// `WAIT_BUCKETS - 1` histogram buckets; the last bucket is unbounded.
 pub const WAIT_BUCKET_MS: [u64; WAIT_BUCKETS - 1] = [1, 10, 100, 1000];
 
@@ -38,7 +39,7 @@ struct GateState {
 pub struct FairGate {
     state: Mutex<GateState>,
     cv: Condvar,
-    waits: [AtomicU64; WAIT_BUCKETS],
+    wait_ms: Histogram,
 }
 
 /// An acquired compute slot; released (and the next ticket woken) on drop.
@@ -47,8 +48,9 @@ pub struct Permit {
 }
 
 impl FairGate {
-    /// A gate with `permits` concurrent slots (at least 1).
-    pub fn new(permits: usize) -> Arc<FairGate> {
+    /// A gate with `permits` concurrent slots (at least 1) that
+    /// observes each acquire's wait, in milliseconds, into `wait_ms`.
+    pub fn new(permits: usize, wait_ms: Histogram) -> Arc<FairGate> {
         assert!(permits >= 1, "need at least one permit");
         Arc::new(FairGate {
             state: Mutex::new(GateState {
@@ -57,13 +59,13 @@ impl FairGate {
                 next_ticket: 0,
             }),
             cv: Condvar::new(),
-            waits: Default::default(),
+            wait_ms,
         })
     }
 
     /// Blocks until a slot is free *and* every earlier caller has been
-    /// served, then claims the slot. The time spent blocked is recorded
-    /// in the wait histogram.
+    /// served, then claims the slot. The time spent blocked is observed
+    /// into the wait histogram.
     pub fn acquire(self: &Arc<FairGate>) -> Permit {
         let started = Instant::now();
         let mut st = lock(&self.state);
@@ -76,12 +78,7 @@ impl FairGate {
         st.queue.pop_front();
         st.available -= 1;
         drop(st);
-        let waited_ms = started.elapsed().as_millis() as u64;
-        let bucket = WAIT_BUCKET_MS
-            .iter()
-            .position(|&hi| waited_ms < hi)
-            .unwrap_or(WAIT_BUCKETS - 1);
-        self.waits[bucket].fetch_add(1, Ordering::Relaxed);
+        self.wait_ms.observe(started.elapsed().as_secs_f64() * 1e3);
         // Another ticket may be eligible too (available > 1).
         self.cv.notify_all();
         Permit { gate: self.clone() }
@@ -90,13 +87,6 @@ impl FairGate {
     /// Tickets currently blocked waiting for a slot.
     pub fn queued(&self) -> usize {
         lock(&self.state).queue.len()
-    }
-
-    /// Counts of completed acquires by how long they waited: buckets are
-    /// `< 1 ms`, `< 10 ms`, `< 100 ms`, `< 1 s`, `≥ 1 s`
-    /// (see [`WAIT_BUCKET_MS`]).
-    pub fn wait_histogram(&self) -> [u64; WAIT_BUCKETS] {
-        std::array::from_fn(|i| self.waits[i].load(Ordering::Relaxed))
     }
 }
 
@@ -112,12 +102,23 @@ impl Drop for Permit {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::obs::Metrics;
+    use ff_obs::{Logger, Registry};
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::time::Duration;
 
+    /// A gate observing into a fresh server registry's `ff_permit_wait_ms`.
+    fn observed_gate(permits: usize) -> (Arc<FairGate>, Metrics) {
+        let metrics = Metrics::new(Registry::new(), Logger::off());
+        (
+            FairGate::new(permits, metrics.permit_wait_ms.clone()),
+            metrics,
+        )
+    }
+
     #[test]
     fn cap_is_never_exceeded_and_everyone_finishes() {
-        let gate = FairGate::new(2);
+        let (gate, metrics) = observed_gate(2);
         let in_flight = AtomicUsize::new(0);
         let peak = AtomicUsize::new(0);
         std::thread::scope(|s| {
@@ -135,7 +136,7 @@ mod tests {
         });
         assert!(peak.load(Ordering::SeqCst) <= 2, "cap exceeded");
         assert_eq!(
-            gate.wait_histogram().iter().sum::<u64>(),
+            metrics.permit_wait_counts().iter().sum::<u64>(),
             40,
             "every acquire must be counted exactly once"
         );
@@ -144,7 +145,7 @@ mod tests {
 
     #[test]
     fn grants_are_fifo_under_staggered_arrival() {
-        let gate = FairGate::new(1);
+        let (gate, _) = observed_gate(1);
         let order = Mutex::new(Vec::new());
         let blocker = gate.acquire(); // everyone below must queue
         std::thread::scope(|s| {
@@ -167,9 +168,9 @@ mod tests {
 
     #[test]
     fn wait_histogram_separates_fast_and_slow_acquires() {
-        let gate = FairGate::new(1);
+        let (gate, metrics) = observed_gate(1);
         {
-            let _p = gate.acquire(); // uncontended: < 1 ms bucket
+            let _p = gate.acquire(); // uncontended: ≤ 1 ms bucket
         }
         let blocker = gate.acquire();
         let gate2 = gate.clone();
@@ -179,18 +180,18 @@ mod tests {
         std::thread::sleep(Duration::from_millis(25));
         drop(blocker);
         waiter.join().unwrap();
-        let hist = gate.wait_histogram();
+        let hist = metrics.permit_wait_counts();
         assert_eq!(hist.iter().sum::<u64>(), 3);
         assert!(hist[0] >= 1, "uncontended acquires land in bucket 0");
         assert!(
             hist[2..].iter().sum::<u64>() >= 1,
-            "the blocked acquire must land in a ≥ 10 ms bucket: {hist:?}"
+            "the blocked acquire must land in a > 10 ms bucket: {hist:?}"
         );
     }
 
     #[test]
     #[should_panic(expected = "at least one permit")]
     fn zero_permits_panics() {
-        FairGate::new(0);
+        observed_gate(0);
     }
 }

@@ -156,10 +156,10 @@ pub(crate) fn validate_job(spec: &JobRequest, graph: &Graph) -> Result<(), Confi
 /// updates on it, so a client that reacts instantly to `done` (resubmit,
 /// stats) can never observe the finished job as still in flight.
 ///
-/// `obs`, when given, hooks the engine's per-epoch instrumentation into
-/// the server registry, times gate waits, and emits `epoch` log spans.
-/// All of it is observation-only: the solve consumes no RNG, chunking or
-/// output byte differently whether `obs` is `Some` or `None`.
+/// `metrics` receives the engine's per-epoch instrumentation and the
+/// `epoch` log spans; `gate` observes its own waits. All of it is
+/// observation-only: the solve consumes no RNG, chunking or output byte
+/// differently for being observed.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_job(
     job_id: u64,
@@ -168,7 +168,7 @@ pub(crate) fn run_job(
     gate: &Arc<FairGate>,
     token: &CancelToken,
     sink: &EventSink,
-    obs: Option<&Metrics>,
+    metrics: &Metrics,
     before_done: impl FnOnce(&DoneInfo),
 ) -> DoneInfo {
     let started = Instant::now();
@@ -178,10 +178,7 @@ pub(crate) fn run_job(
     // have. Same discipline as the dist layer's `FFPART_FAULT`.
     let poisoned = std::env::var("FFPART_JOB_PANIC").is_ok_and(|key| key == spec.instance);
     let multi = spec.is_pareto();
-    let mut solver = job_solver(spec, graph);
-    if let Some(metrics) = obs {
-        solver = solver.observe(metrics.registry.clone());
-    }
+    let solver = job_solver(spec, graph).observe(metrics.registry.clone());
     // `run_with` lets the service keep its cooperative chunked drive
     // (gate permits, improvement streaming, cancellation) while the
     // engine decides *where* that drive runs: on the input graph, or —
@@ -199,41 +196,27 @@ pub(crate) fn run_job(
             // stream deterministic values).
             let mut best: HashMap<Objective, f64> = HashMap::new();
             loop {
-                let more;
-                if let Some(metrics) = obs {
-                    let waiting = Instant::now();
-                    let permit = gate.acquire();
-                    if poisoned {
-                        // lint: allow(PANIC_PATH) — deliberate fault-injection hook; fires only when the
-                        // FFPART_JOB_PANIC env var is set by the crash-recovery tests.
-                        panic!("injected driver panic (FFPART_JOB_PANIC)");
-                    }
-                    metrics.permit_wait(waiting.elapsed());
-                    more = run.advance_epoch();
-                    drop(permit);
-                    epoch += 1;
-                    metrics.logger.log(
-                        "epoch",
-                        Some(job_id),
-                        &[
-                            ("epoch", LogValue::U64(epoch)),
-                            ("steps", LogValue::U64(run.total_steps())),
-                            (
-                                "best",
-                                LogValue::F64(run.best_value_at_target().unwrap_or(f64::INFINITY)),
-                            ),
-                        ],
-                    );
-                } else {
-                    let permit = gate.acquire();
-                    if poisoned {
-                        // lint: allow(PANIC_PATH) — deliberate fault-injection hook; fires only when the
-                        // FFPART_JOB_PANIC env var is set by the crash-recovery tests.
-                        panic!("injected driver panic (FFPART_JOB_PANIC)");
-                    }
-                    more = run.advance_epoch();
-                    drop(permit);
+                let permit = gate.acquire();
+                if poisoned {
+                    // lint: allow(PANIC_PATH) — deliberate fault-injection hook; fires only when the
+                    // FFPART_JOB_PANIC env var is set by the crash-recovery tests.
+                    panic!("injected driver panic (FFPART_JOB_PANIC)");
                 }
+                let more = run.advance_epoch();
+                drop(permit);
+                epoch += 1;
+                metrics.logger.log(
+                    "epoch",
+                    Some(job_id),
+                    &[
+                        ("epoch", LogValue::U64(epoch)),
+                        ("steps", LogValue::U64(run.total_steps())),
+                        (
+                            "best",
+                            LogValue::F64(run.best_value_at_target().unwrap_or(f64::INFINITY)),
+                        ),
+                    ],
+                );
                 for (i, island) in run.islands().iter().enumerate() {
                     let objective = island.config().objective;
                     for p in island.trace().points_since(cursors[i]) {
@@ -318,6 +301,7 @@ pub(crate) fn run_job(
 mod tests {
     use super::*;
     use crate::cache::{GraphFormat, GraphSource, InstanceCache};
+    use ff_obs::{Logger, Registry};
 
     fn sink_to_vec() -> (EventSink, Arc<Mutex<Vec<u8>>>) {
         #[derive(Clone)]
@@ -333,6 +317,19 @@ mod tests {
         }
         let buf = Arc::new(Mutex::new(Vec::new()));
         (EventSink::new(Box::new(Shared(buf.clone()))), buf)
+    }
+
+    /// Runs one job on a fresh one-slot gate with a fresh registry.
+    fn drive(
+        job_id: u64,
+        spec: &JobRequest,
+        graph: &Arc<Graph>,
+        token: &CancelToken,
+        sink: &EventSink,
+    ) -> DoneInfo {
+        let metrics = Metrics::new(Registry::new(), Logger::off());
+        let gate = FairGate::new(1, metrics.permit_wait_ms.clone());
+        run_job(job_id, spec, graph, &gate, token, sink, &metrics, |_| ())
     }
 
     fn events_from(buf: &Arc<Mutex<Vec<u8>>>) -> Vec<Event> {
@@ -361,7 +358,6 @@ mod tests {
     #[test]
     fn step_budgeted_job_is_deterministic_and_streams_improvements() {
         let graph = grid_graph();
-        let gate = FairGate::new(1);
         let spec = JobRequest {
             steps: Some(3_000),
             seed: 5,
@@ -370,7 +366,7 @@ mod tests {
         let run = || {
             let (sink, buf) = sink_to_vec();
             let token = CancelToken::new();
-            let done = run_job(7, &spec, &graph, &gate, &token, &sink, None, |_| ());
+            let done = drive(7, &spec, &graph, &token, &sink);
             (done, events_from(&buf))
         };
         let (done_a, events_a) = run();
@@ -408,7 +404,6 @@ mod tests {
     #[test]
     fn ensemble_job_matches_direct_solver_run() {
         let graph = grid_graph();
-        let gate = FairGate::new(1);
         let spec = JobRequest {
             steps: Some(2_000),
             seed: 9,
@@ -418,7 +413,7 @@ mod tests {
         };
         let (sink, _buf) = sink_to_vec();
         let token = CancelToken::new();
-        let done = run_job(1, &spec, &graph, &gate, &token, &sink, None, |_| ());
+        let done = drive(1, &spec, &graph, &token, &sink);
         // The service drive must be bit-equal to driving ff-engine
         // directly with the same shape.
         let direct = Solver::on(&graph)
@@ -442,7 +437,6 @@ mod tests {
     #[test]
     fn pareto_job_returns_the_library_front_end_to_end() {
         let graph = grid_graph();
-        let gate = FairGate::new(1);
         let spec = JobRequest {
             steps: Some(3_000),
             seed: 4,
@@ -454,7 +448,7 @@ mod tests {
         assert!(spec.is_pareto());
         let (sink, buf) = sink_to_vec();
         let token = CancelToken::new();
-        let done = run_job(5, &spec, &graph, &gate, &token, &sink, None, |_| ());
+        let done = drive(5, &spec, &graph, &token, &sink);
         let front = done.pareto.as_ref().expect("pareto job carries a front");
         // The wire front must equal the library front exactly.
         let direct = job_solver(&spec, &graph).start().unwrap();
@@ -510,7 +504,6 @@ mod tests {
                 GraphFormat::Metis,
             )
             .unwrap();
-        let gate = FairGate::new(1);
         let spec = JobRequest {
             steps: Some(2_000),
             seed: 13,
@@ -523,7 +516,7 @@ mod tests {
         let run = || {
             let (sink, _buf) = sink_to_vec();
             let token = CancelToken::new();
-            run_job(9, &spec, &graph, &gate, &token, &sink, None, |_| ())
+            drive(9, &spec, &graph, &token, &sink)
         };
         let a = run();
         let b = run();
@@ -563,7 +556,6 @@ mod tests {
     #[test]
     fn cancelled_job_returns_best_so_far_promptly() {
         let graph = grid_graph();
-        let gate = FairGate::new(1);
         let spec = JobRequest {
             steps: Some(u64::MAX / 2),
             chunk: 128,
@@ -577,7 +569,7 @@ mod tests {
             canceller.cancel();
         });
         let started = Instant::now();
-        let done = run_job(2, &spec, &graph, &gate, &token, &sink, None, |_| ());
+        let done = drive(2, &spec, &graph, &token, &sink);
         handle.join().unwrap();
         assert_eq!(done.status, JobStatus::Cancelled);
         assert!(
@@ -592,7 +584,6 @@ mod tests {
     #[test]
     fn deadline_job_stops_within_tolerance() {
         let graph = grid_graph();
-        let gate = FairGate::new(1);
         let spec = JobRequest {
             deadline_ms: Some(250),
             ..JobRequest::new("grid", 2)
@@ -600,7 +591,7 @@ mod tests {
         let (sink, _buf) = sink_to_vec();
         let token = CancelToken::new();
         let started = Instant::now();
-        let done = run_job(3, &spec, &graph, &gate, &token, &sink, None, |_| ());
+        let done = drive(3, &spec, &graph, &token, &sink);
         let elapsed = started.elapsed();
         assert_eq!(done.status, JobStatus::Deadline);
         assert!(

@@ -2,26 +2,22 @@
 //! `GET /metrics` and the extended `stats` event, plus the optional
 //! structured operational logger behind `ffpart serve --log-format`.
 //!
-//! Two update disciplines keep every metric observation-only:
-//!
-//! * **Event-time**: submits, rejections, completions by status, job
-//!   durations, permit waits and connection traffic are recorded where
-//!   the event happens — all outside the engine's RNG/chunking path.
-//!   The submit and rejection counters are the only store of those
-//!   counts: the `stats` event reads them back.
-//! * **Scrape-time mirrors**: counters the cache keeps for `stats`
-//!   (hits, loads, evictions) are raised to the authoritative snapshot
-//!   on every scrape via [`Counter::raise_to`], so `/metrics` stays
-//!   monotone and can never disagree with `stats` on direction.
+//! Every counter and histogram is recorded where its event happens —
+//! submits, rejections, completions by status, job durations, connection
+//! traffic here; cache hits, loads and evictions in the
+//! [`InstanceCache`](crate::cache::InstanceCache); permit waits in the
+//! [`FairGate`](crate::gate::FairGate) — all outside the engine's
+//! RNG/chunking path. The registry is the only store of those counts:
+//! the `stats` event reads them back, so it can never disagree with
+//! `/metrics`. Only the point-in-time gauges are set at scrape time.
 //!
 //! The registry is always live (a scrape of an idle server reports
 //! zeros — families are pre-registered so the catalog is visible from
 //! the first scrape); only the logger is opt-in.
 
-use crate::gate::WAIT_BUCKET_MS;
+use crate::gate::{WAIT_BUCKETS, WAIT_BUCKET_MS};
 use crate::protocol::{DoneInfo, JobStatus, StatsInfo};
 use ff_obs::{Counter, Gauge, Histogram, LogValue, Logger, Registry};
-use std::time::Duration;
 
 /// Buckets in the job-duration histogram (the last is unbounded).
 pub const DURATION_BUCKETS: usize = 6;
@@ -39,7 +35,6 @@ fn ms_bounds(bounds_ms: &[u64]) -> Vec<f64> {
 pub(crate) struct Metrics {
     pub(crate) registry: Registry,
     pub(crate) logger: Logger,
-    // Event-time.
     /// Jobs admitted; `stats` reads its `jobs_submitted` from here.
     pub(crate) submitted: Counter,
     /// Submits refused by admission control (`stats`' `jobs_rejected`).
@@ -49,11 +44,9 @@ pub(crate) struct Metrics {
     deadline: Counter,
     panicked: Counter,
     job_duration_ms: Histogram,
-    permit_wait_ms: Histogram,
-    // Scrape-time mirrors of the counters `stats` owns.
-    cache_hits: Counter,
-    cache_loads: Counter,
-    cache_evictions: Counter,
+    /// The server's [`FairGate`](crate::gate::FairGate) observes into it.
+    pub(crate) permit_wait_ms: Histogram,
+    // Point-in-time gauges, set by `sync`.
     cache_bytes: Gauge,
     instances: Gauge,
     jobs_in_flight: Gauge,
@@ -90,22 +83,13 @@ impl Metrics {
             ),
             permit_wait_ms: registry.histogram(
                 "ff_permit_wait_ms",
-                "Milliseconds a job chunk blocked waiting for a compute slot",
+                "Milliseconds a job chunk or worker-session epoch blocked waiting for a compute slot",
                 &ms_bounds(&WAIT_BUCKET_MS),
             ),
             submitted: registry.counter("ff_jobs_submitted_total", "Jobs admitted since start"),
             rejected: registry.counter(
                 "ff_jobs_rejected_total",
                 "Jobs refused by admission control",
-            ),
-            cache_hits: registry.counter("ff_cache_hits_total", "Instance-cache hits served"),
-            cache_loads: registry.counter(
-                "ff_cache_loads_total",
-                "Graph loads (parse + CSR build) performed",
-            ),
-            cache_evictions: registry.counter(
-                "ff_cache_evictions_total",
-                "Instances evicted to stay within the cache byte budget",
             ),
             cache_bytes: registry.gauge("ff_cache_bytes", "CSR bytes resident in the cache"),
             instances: registry.gauge("ff_cache_instances", "Instances currently cached"),
@@ -184,7 +168,7 @@ impl Metrics {
 
     /// Raises the status-labelled completion counters to what the
     /// journal replayed — [`Counter::raise_to`], so a replay can only
-    /// move the scrape forward, exactly like the stats mirrors.
+    /// move the scrape forward.
     pub(crate) fn replay_totals(&self, completed: u64, cancelled: u64, deadline: u64) {
         self.completed.raise_to(completed);
         self.cancelled.raise_to(cancelled);
@@ -195,14 +179,6 @@ impl Metrics {
     /// restarted server's duration profile covers its whole history.
     pub(crate) fn replay_duration(&self, elapsed_ms: u64) {
         self.job_duration_ms.observe(elapsed_ms as f64);
-    }
-
-    /// Records how long one chunk blocked on the gate. Separate from the
-    /// gate's own histogram (which `stats` keeps as ground truth): this
-    /// one is measured at the job driver and rendered as a Prometheus
-    /// histogram with `sum`/`count`.
-    pub(crate) fn permit_wait(&self, waited: Duration) {
-        self.permit_wait_ms.observe(waited.as_secs_f64() * 1e3);
     }
 
     /// Counts a connection open and returns a guard that counts the
@@ -224,11 +200,22 @@ impl Metrics {
         ConnectionGuard { open }
     }
 
+    /// Per-bucket counts of the permit-wait histogram (the `stats`
+    /// event's `permit_wait_hist`).
+    pub(crate) fn permit_wait_counts(&self) -> [u64; WAIT_BUCKETS] {
+        bucket_counts(&self.permit_wait_ms)
+    }
+
     /// Per-bucket counts of the job-duration histogram (the `stats`
-    /// event carries them alongside the gate's permit-wait histogram).
+    /// event's `job_duration_hist`).
     pub(crate) fn job_duration_counts(&self) -> [u64; DURATION_BUCKETS] {
-        let counts = self.job_duration_ms.counts();
-        std::array::from_fn(|i| counts[i])
+        bucket_counts(&self.job_duration_ms)
+    }
+
+    /// Jobs finished, whatever their status (the `stats` event's
+    /// `jobs_done`).
+    pub(crate) fn jobs_done(&self) -> u64 {
+        self.completed.get() + self.cancelled.get() + self.deadline.get()
     }
 
     /// Jobs that finished cancelled (the `stats` event's counter).
@@ -236,19 +223,21 @@ impl Metrics {
         self.cancelled.get()
     }
 
-    /// Raises the mirror counters to `stats`'s authoritative snapshot
-    /// and sets the point-in-time gauges. Called on every `stats`
-    /// request and `/metrics` scrape.
+    /// Sets the point-in-time gauges from a `stats` snapshot. Called on
+    /// every `stats` request and `/metrics` scrape.
     pub(crate) fn sync(&self, st: &StatsInfo) {
-        self.cache_hits.raise_to(st.cache_hits);
-        self.cache_loads.raise_to(st.cache_loads);
-        self.cache_evictions.raise_to(st.cache_evictions);
         self.cache_bytes.set(st.cache_bytes as f64);
         self.instances.set(st.instances as f64);
         self.jobs_in_flight.set(st.jobs_running as f64);
         self.gate_queued.set(st.gate_queued as f64);
         self.workers.set(st.workers as f64);
     }
+}
+
+/// Per-bucket counts of a histogram with `N` buckets, `+Inf` last.
+fn bucket_counts<const N: usize>(histogram: &Histogram) -> [u64; N] {
+    let counts = histogram.counts();
+    std::array::from_fn(|i| counts[i])
 }
 
 /// Decrements the per-front-end open-connections gauge on drop.
@@ -400,6 +389,8 @@ mod tests {
     #[test]
     fn idle_server_catalog_is_complete_and_zero() {
         let m = Metrics::new(Registry::new(), Logger::off());
+        // The server's cache registers its counters on the same registry.
+        let _cache = crate::cache::InstanceCache::with_budget(0, &m.registry);
         m.sync(&StatsInfo::default());
         let page = m.registry.render();
         let samples = parse_exposition(&page).unwrap();
@@ -438,23 +429,6 @@ mod tests {
         assert_eq!(counts[0], 1); // ≤ 10 ms
         assert_eq!(counts[1], 1); // ≤ 100 ms
         assert_eq!(counts[2], 1); // ≤ 1 s
-    }
-
-    #[test]
-    fn sync_mirrors_are_monotone_even_on_stale_snapshots() {
-        let m = Metrics::new(Registry::new(), Logger::off());
-        let mut st = StatsInfo {
-            cache_hits: 10,
-            ..StatsInfo::default()
-        };
-        m.sync(&st);
-        st.cache_hits = 7; // a lagging snapshot must not lower it
-        m.sync(&st);
-        let page = m.registry.render();
-        assert!(
-            page.contains("ff_cache_hits_total 10"),
-            "counter regressed:\n{page}"
-        );
     }
 
     #[test]

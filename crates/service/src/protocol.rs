@@ -534,11 +534,11 @@ wire! {
         workers: usize = 0,
         /// Chunks currently blocked waiting for a compute slot.
         gate_queued: usize = 0,
-        /// Permit-wait histogram: completed slot acquisitions bucketed by
-        /// how long they blocked (`< 1 ms`, `< 10 ms`, `< 100 ms`, `< 1 s`,
-        /// `≥ 1 s`).
+        /// Permit-wait histogram: completed slot acquisitions, by job
+        /// drivers and worker sessions alike, bucketed by how long they
+        /// blocked (`≤ 1 ms`, `≤ 10 ms`, `≤ 100 ms`, `≤ 1 s`, `> 1 s`).
         permit_wait_hist: [u64; WAIT_BUCKETS],
-        /// Upper bounds (ms, exclusive) of the first `WAIT_BUCKETS - 1`
+        /// Upper bounds (ms, inclusive) of the first `WAIT_BUCKETS - 1`
         /// permit-wait buckets, so a dashboard can label the histogram
         /// without hard-coding the server's bucket layout. Absent from
         /// older servers: then the compile-time layout.

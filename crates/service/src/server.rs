@@ -70,13 +70,13 @@ pub struct ServerConfig {
     /// journaled, and binding replays the journal: finished jobs are
     /// restored into the event-log retention ring, in-flight jobs are
     /// re-executed from their journaled spec. `None` keeps everything
-    /// in memory (the pre-journal shape).
+    /// in memory: a restart starts with no jobs and zeroed counters.
     pub journal: Option<String>,
 }
 
 impl ServerConfig {
-    /// The PR-3-compatible shape: `workers` slots, everything unbounded,
-    /// no HTTP listener.
+    /// An NDJSON-only server with `workers` slots: no admission bounds,
+    /// no cache budget, no HTTP listener, no journal, no logging.
     pub fn with_workers(workers: usize) -> ServerConfig {
         ServerConfig {
             workers,
@@ -85,7 +85,7 @@ impl ServerConfig {
     }
 }
 
-/// Shared server state: cache, worker pool, job registry, counters.
+/// Shared server state: cache, worker pool, job registry, metrics.
 pub(crate) struct ServerState {
     pub(crate) cache: InstanceCache,
     pub(crate) gate: Arc<FairGate>,
@@ -98,7 +98,6 @@ pub(crate) struct ServerState {
     /// Completion order of HTTP jobs, for bounded log retention.
     finished_logs: Mutex<VecDeque<u64>>,
     next_job: AtomicU64,
-    finished: AtomicU64,
     shutdown: AtomicBool,
     /// The always-on metrics registry (behind `GET /metrics` and the
     /// extended `stats` event) plus the opt-in operational logger.
@@ -126,8 +125,8 @@ impl ServerState {
             None => None,
         };
         Ok(Arc::new(ServerState {
-            cache: InstanceCache::with_budget(config.cache_bytes),
-            gate: FairGate::new(workers),
+            cache: InstanceCache::with_budget(config.cache_bytes, &metrics.registry),
+            gate: FairGate::new(workers, metrics.permit_wait_ms.clone()),
             workers,
             max_jobs: config.max_jobs,
             max_jobs_per_conn: config.max_jobs_per_conn,
@@ -135,7 +134,6 @@ impl ServerState {
             logs: Mutex::new(HashMap::new()),
             finished_logs: Mutex::new(VecDeque::new()),
             next_job: AtomicU64::new(1),
-            finished: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
             metrics,
             journal,
@@ -192,9 +190,9 @@ impl ServerState {
         lock(&self.logs).get(&job).cloned()
     }
 
-    /// One coherent statistics snapshot. Also raises the registry's
-    /// mirror counters to it, so a `/metrics` scrape taken through this
-    /// path can never disagree with the `stats` event on direction.
+    /// One statistics snapshot, its counters and histograms read from
+    /// the metrics registry. Also sets the registry's point-in-time
+    /// gauges from it, ahead of a `/metrics` render.
     pub(crate) fn stats(&self) -> StatsInfo {
         let cache = self.cache.stats();
         let info = StatsInfo {
@@ -206,13 +204,13 @@ impl ServerState {
             cache_budget_bytes: cache.budget,
             jobs_submitted: self.metrics.submitted.get(),
             jobs_running: lock(&self.jobs).len() as u64,
-            jobs_done: self.finished.load(Ordering::Relaxed),
+            jobs_done: self.metrics.jobs_done(),
             jobs_cancelled: self.metrics.jobs_cancelled(),
             jobs_rejected: self.metrics.rejected.get(),
             max_jobs: self.max_jobs as u64,
             workers: self.workers,
             gate_queued: self.gate.queued(),
-            permit_wait_hist: self.gate.wait_histogram(),
+            permit_wait_hist: self.metrics.permit_wait_counts(),
             permit_wait_bucket_ms: WAIT_BUCKET_MS,
             job_duration_hist: self.metrics.job_duration_counts(),
             job_duration_bucket_ms: DURATION_BUCKET_MS,
@@ -313,7 +311,6 @@ fn replay_journal(state: &Arc<ServerState>, path: &str) -> std::io::Result<Repla
     // Counters: restored monotonically, never re-counted by replay.
     state.next_job.store(max_job + 1, Ordering::Relaxed);
     state.metrics.submitted.raise_to(specs.len() as u64);
-    state.finished.store(dones.len() as u64, Ordering::Relaxed);
     state.metrics.rejected.raise_to(rejected);
     let (mut completed, mut cancelled, mut deadline) = (0u64, 0u64, 0u64);
     for (done, _) in dones.values() {
@@ -425,8 +422,9 @@ pub struct Server {
 
 impl Server {
     /// Binds to `addr` (e.g. `127.0.0.1:0` for an ephemeral port) with a
-    /// worker pool of `workers` compute slots (`0` = one per core) and no
-    /// admission/cache bounds — the PR 3 shape. Production servers want
+    /// worker pool of `workers` compute slots (`0` = one per core) and
+    /// [`ServerConfig::with_workers`] otherwise: no admission or cache
+    /// bounds, no HTTP, no journal. Production servers want
     /// [`Server::bind_with`].
     pub fn bind(addr: &str, workers: usize) -> std::io::Result<Server> {
         Server::bind_with(addr, ServerConfig::with_workers(workers))
@@ -1011,12 +1009,11 @@ fn spawn_driver(
             &state.gate,
             &token,
             &sink,
-            Some(&state.metrics),
+            &state.metrics,
             |done| {
                 finished.store(true, Ordering::Release);
                 lock(&state.jobs).remove(&job_id);
                 conn_jobs.fetch_sub(1, Ordering::Relaxed);
-                state.finished.fetch_add(1, Ordering::Relaxed);
                 state.metrics.job_done(done);
             },
         );

@@ -109,6 +109,19 @@ fn finished_jobs_replay_into_the_event_ring_without_reexecution() {
     assert_eq!(stats.jobs_submitted, 1);
     assert_eq!(stats.jobs_done, 1);
     assert_eq!(stats.jobs_running, 0);
+    // `jobs_done` is read from the replayed completion counters.
+    let page = http(
+        handle.http_addr().unwrap(),
+        "GET /metrics HTTP/1.1\r\nConnection: close\r\n\r\n".into(),
+    );
+    let (_, body) = page.split_once("\r\n\r\n").unwrap();
+    let completed: f64 = ff_obs::parse_exposition(body)
+        .unwrap()
+        .iter()
+        .filter(|s| s.name == "ff_jobs_completed_total")
+        .map(|s| s.value)
+        .sum();
+    assert_eq!(stats.jobs_done as f64, completed);
 
     // New jobs get fresh ids past the journaled ones.
     let fresh = client.submit(&grid_job(500, 3)).unwrap();

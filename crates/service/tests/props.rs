@@ -3,7 +3,7 @@
 //! panic, always typed" half of the serving-hardening contract.
 
 use ff_partition::Objective;
-use ff_service::{Event, GraphFormat, GraphSource, InstanceCache, PinnedGraph, Request};
+use ff_service::{Event, GraphFormat, GraphSource, InstanceCache, PinnedGraph, Registry, Request};
 use proptest::prelude::*;
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
@@ -201,7 +201,8 @@ proptest! {
     #[test]
     fn lru_cache_matches_reference_model((budget, ops) in arb_case()) {
         let sizes = corpus();
-        let cache = InstanceCache::with_budget(budget);
+        let registry = Registry::new();
+        let cache = InstanceCache::with_budget(budget, &registry);
         let mut model = Model {
             budget,
             ..Model::default()
@@ -249,6 +250,11 @@ proptest! {
             prop_assert_eq!(stats.bytes as usize, model.total());
             prop_assert_eq!(stats.evictions, model.evictions);
             prop_assert_eq!(stats.loads, model.loads);
+            // The registry counters are the store `stats` reads back.
+            let samples = ff_obs::parse_exposition(&registry.render()).unwrap();
+            let total = |name: &str| samples.iter().find(|s| s.name == name).map(|s| s.value);
+            prop_assert_eq!(total("ff_cache_loads_total"), Some(model.loads as f64));
+            prop_assert_eq!(total("ff_cache_evictions_total"), Some(model.evictions as f64));
             // The budget invariant: exceeding it is only legal when every
             // entry is pinned or is the single most-recently-loaded one.
             if budget > 0 && stats.bytes as usize > budget {
