@@ -267,3 +267,85 @@ fn distributed_islands_match_in_process_goldens() {
         handle.join().unwrap();
     }
 }
+
+/// FNV-1a over a word stream: a compact, dependency-free pin for an
+/// assignment or a per-k table.
+fn fnv64(words: impl IntoIterator<Item = u64>) -> u64 {
+    words.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, w| {
+        w.to_le_bytes()
+            .iter()
+            .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+    })
+}
+
+/// Algorithm 2 from singletons is where the per-step bookkeeping
+/// (live-part count, live-atom pick, snapshots of the best molecule)
+/// carries the most weight, so these runs pin it bit for bit. Each
+/// budget covers the whole agglomeration, at least one compaction of
+/// empty part slots, more than `nbt` = 1,600 core steps (one
+/// freeze-reheat) and an `inject` between `advance` chunks.
+#[test]
+fn init_heavy_runs_are_byte_pinned() {
+    use fusionfission::graph::generators::planted_partition;
+    use fusionfission::partition::Objective;
+
+    struct Pin {
+        adopted: bool,
+        steps: u64,
+        best_bits: u64,
+        per_k: (usize, u64),
+        assignment: u64,
+    }
+    let run = |g: &Graph, cfg: FusionFissionConfig, seed: u64, offer: &Partition| {
+        let mut run = FusionFission::new(g, cfg, seed).start();
+        run.advance(1_000);
+        let adopted = run.inject(offer);
+        while run.advance(333) {}
+        let res = run.harvest();
+        assert!(res.best.validate(g));
+        Pin {
+            adopted,
+            steps: res.steps,
+            best_bits: res.best_value.to_bits(),
+            per_k: (
+                res.best_value_per_k.len(),
+                fnv64(
+                    res.best_value_per_k
+                        .iter()
+                        .flat_map(|(&k, v)| [k as u64, v.to_bits()]),
+                ),
+            ),
+            assignment: fnv64(res.best.assignment().iter().map(|&p| u64::from(p))),
+        }
+    };
+
+    // 32 planted groups of 24 vertices, Ncut, k = 32; offered the
+    // planted truth mid-run.
+    let g = planted_partition(32, 24, 0.3, 0.01, 3);
+    let truth = Partition::from_assignment(&g, (0..768).map(|v| v / 24).collect(), 32);
+    let cfg = FusionFissionConfig {
+        objective: Objective::NCut,
+        stop: StopCondition::steps(2_600),
+        ..FusionFissionConfig::standard(32)
+    };
+    let p = run(&g, cfg, 5, &truth);
+    assert!(p.adopted);
+    assert_eq!(p.steps, 2_600);
+    assert_eq!(p.best_bits, 0x4021_0494_33b8_dba1);
+    assert_eq!(p.per_k, (753, 0x0136_a685_4bf0_36e4));
+    assert_eq!(p.assignment, 0x0f29_0680_8ce6_a23a);
+
+    // Scaled FABOP, Mcut, k = 8; offered a block partition mid-run.
+    let inst = FabopInstance::scaled(200, &FabopConfig::default());
+    let g = &inst.graph;
+    let cfg = FusionFissionConfig {
+        stop: StopCondition::steps(2_000),
+        ..FusionFissionConfig::standard(8)
+    };
+    let p = run(g, cfg, 11, &Partition::block(g, 8));
+    assert!(!p.adopted);
+    assert_eq!(p.steps, 2_000);
+    assert_eq!(p.best_bits, 0x3ffb_c7c0_ca35_0627);
+    assert_eq!(p.per_k, (199, 0xc994_8b7b_42f7_eab3));
+    assert_eq!(p.assignment, 0xa0c6_c098_d393_4427);
+}
