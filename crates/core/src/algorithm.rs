@@ -76,9 +76,10 @@ struct Search<'g> {
     best_energy: f64,
     best_molecule: Partition,
     best_value_per_k: BTreeMap<usize, f64>,
-    /// Scratch buffer for the live-atom scan; reused every step so the
-    /// hot loop performs no per-step allocation.
-    atoms_scratch: Vec<u32>,
+    /// Scaled energy of the current molecule as the last `observe`
+    /// computed it; `None` once `st` is rebuilt, since `CutState::new`
+    /// recomputes the per-part sums and may change their last bits.
+    energy: Option<f64>,
 }
 
 impl<'g> FusionFission<'g> {
@@ -155,7 +156,7 @@ impl<'g> FusionFission<'g> {
             best_energy: f64::INFINITY,
             best_molecule: init_part,
             best_value_per_k: BTreeMap::new(),
-            atoms_scratch: Vec::new(),
+            energy: None,
         };
         // Phase 1 uses no temperature, no secondary fissions, and the
         // sharpest (frozen) α, so every undersized atom fuses.
@@ -192,6 +193,12 @@ impl<'g> FusionFission<'g> {
 /// migration — and finally [`harvest`](FusionFissionRun::harvest) the
 /// result. The search is a pure function of (graph, config, seed, injected
 /// molecules): wall-clock only enters through time-based stop conditions.
+///
+/// A step costs O(reaction) plus two O(part slots) terms: one objective
+/// fold over the per-part sums, whose value is reused as the next step's
+/// "before" energy, and, when the step improves the best energy, a copy of
+/// the molecule into the kept snapshot's buffers. The live-atom pick and
+/// the live-part count come from [`Partition`]'s live-slot tree.
 pub struct FusionFissionRun<'g> {
     g: &'g Graph,
     cfg: FusionFissionConfig,
@@ -215,23 +222,24 @@ impl<'g> FusionFissionRun<'g> {
         )
     }
 
-    /// Picks a uniformly random live (non-empty) atom, reusing the
-    /// per-run scratch buffer — the step loop's former top allocation.
+    /// Picks a uniformly random live (non-empty) atom: one draw over the
+    /// live count, resolved to the r-th live slot in ascending order.
     fn pick_live_atom(&mut self) -> u32 {
-        let Search {
-            st,
-            rng,
-            atoms_scratch,
-            ..
-        } = &mut self.s;
-        atoms_scratch.clear();
-        let part = st.partition();
-        atoms_scratch.extend((0..part.num_parts() as u32).filter(|&p| part.part_size(p) > 0));
-        atoms_scratch[rng.gen_range(0..atoms_scratch.len())]
+        let part = self.s.st.partition();
+        let r = self.s.rng.gen_range(0..part.num_nonempty_parts());
+        part.nth_nonempty_part(r)
     }
 
-    /// Records the current molecule into best-trackers and the trace.
-    fn observe(&mut self) {
+    /// The current molecule's scaled energy, reusing the last `observe`
+    /// when the state has not been rebuilt since.
+    fn current_energy(&self) -> f64 {
+        self.s.energy.unwrap_or_else(|| self.energy_of_current())
+    }
+
+    /// Records the current molecule into best-trackers and the trace, and
+    /// returns its scaled energy. Snapshots copy into the kept partitions'
+    /// buffers.
+    fn observe(&mut self) -> f64 {
         let s = &mut self.s;
         let live = s.st.partition().num_nonempty_parts();
         let value = s.st.objective(self.cfg.objective);
@@ -248,12 +256,20 @@ impl<'g> FusionFissionRun<'g> {
         );
         if energy < s.best_energy {
             s.best_energy = energy;
-            s.best_molecule = s.st.partition().clone();
+            s.best_molecule.clone_from(s.st.partition());
         }
         if live == self.cfg.k && s.best_at_k.as_ref().is_none_or(|(bv, _)| value < *bv) {
-            s.best_at_k = Some((value, s.st.partition().clone()));
+            match &mut s.best_at_k {
+                Some((bv, bp)) => {
+                    *bv = value;
+                    bp.clone_from(s.st.partition());
+                }
+                None => s.best_at_k = Some((value, s.st.partition().clone())),
+            }
             s.trace.record(s.started.elapsed(), value, s.step);
         }
+        s.energy = Some(energy);
+        energy
     }
 
     /// One fusion of `atom`, with law-driven nucleon ejection.
@@ -320,14 +336,15 @@ impl<'g> FusionFissionRun<'g> {
             let mut p = old.into_partition();
             p.compact();
             s.st = CutState::new(g, p);
+            s.energy = None;
         }
     }
 
     /// Reinforces or weakens the law a reaction used, based on whether the
-    /// molecule's scaled energy improved.
-    fn learn(&mut self, outcome: Option<(Reaction, (usize, usize))>, e_before: f64) {
+    /// molecule's scaled energy improved from `e_before` to `e_after`.
+    fn learn(&mut self, outcome: Option<(Reaction, (usize, usize))>, e_before: f64, e_after: f64) {
         if let Some((reaction, (law_size, eject))) = outcome {
-            let improved = self.energy_of_current() < e_before;
+            let improved = e_after < e_before;
             if self.cfg.learn_laws {
                 self.s
                     .laws
@@ -343,7 +360,7 @@ impl<'g> FusionFissionRun<'g> {
         self.s.step += 1;
         let atom = self.pick_live_atom();
         let x = self.s.st.partition().part_size(atom) as f64;
-        let e_before = self.energy_of_current();
+        let e_before = self.current_energy();
         let wants_fission =
             self.s.rng.gen::<f64>() < choice_with(cfg.choice_fn, x, self.ideal, self.sharp);
         let outcome = if wants_fission {
@@ -352,8 +369,8 @@ impl<'g> FusionFissionRun<'g> {
         } else {
             self.do_fusion(atom, 0.25).map(|o| (Reaction::Fusion, o))
         };
-        self.learn(outcome, e_before);
-        self.observe();
+        let e_after = self.observe();
+        self.learn(outcome, e_before, e_after);
         self.maybe_compact();
     }
 
@@ -373,7 +390,7 @@ impl<'g> FusionFissionRun<'g> {
             cfg.choice_r,
             self.ideal,
         );
-        let e_before = self.energy_of_current();
+        let e_before = self.current_energy();
 
         let wants_fission = self.s.rng.gen::<f64>() < choice_with(cfg.choice_fn, x, self.ideal, a);
         let outcome = if wants_fission {
@@ -389,8 +406,8 @@ impl<'g> FusionFissionRun<'g> {
                         .map(|o| (Reaction::Fission, o))
                 })
         };
-        self.learn(outcome, e_before);
-        self.observe();
+        let e_after = self.observe();
+        self.learn(outcome, e_before, e_after);
         self.maybe_compact();
 
         // Cool; reheat-restart from the best molecule when frozen.
@@ -398,6 +415,7 @@ impl<'g> FusionFissionRun<'g> {
         if self.t <= cfg.t_min {
             self.t = cfg.t_max;
             self.s.st = CutState::new(self.g, self.s.best_molecule.clone());
+            self.s.energy = None;
         }
     }
 
@@ -881,6 +899,31 @@ mod tests {
             .collect();
         assert_eq!(streamed, all, "tap must equal the final trace");
         assert!(!streamed.is_empty());
+    }
+
+    #[test]
+    fn reused_energy_is_bit_equal_to_a_fresh_fold() {
+        // The energy carried from one step's `observe` into the next
+        // step's `learn` must be exactly what a fresh fold would give,
+        // across compactions and freeze-reheats alike. Real-valued edge
+        // weights make a rebuilt `CutState` differ from the incremental
+        // one in the last bits, so a stale carried value would show.
+        let g = random_geometric(300, 0.12, 4);
+        for objective in Objective::all() {
+            let cfg = FusionFissionConfig {
+                objective,
+                ..FusionFissionConfig::fast(12)
+            };
+            let mut run = FusionFission::new(&g, cfg, 6).start();
+            while run.step_once() {
+                assert_eq!(
+                    run.current_energy().to_bits(),
+                    run.energy_of_current().to_bits(),
+                    "{objective} at step {}",
+                    run.steps()
+                );
+            }
+        }
     }
 
     #[test]

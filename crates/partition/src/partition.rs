@@ -12,7 +12,14 @@ use rand_chacha::ChaCha8Rng;
 /// away empty parts when a caller needs dense non-empty ids.
 ///
 /// Per-part vertex counts and vertex weights are maintained on every move,
-/// so they are always O(1) reads.
+/// so they are always O(1) reads. So is the non-empty part count: a move
+/// that empties or fills a slot also updates a Fenwick tree over the part
+/// slots, which lets [`Partition::nth_nonempty_part`] find the r-th
+/// non-empty slot in O(log slots) instead of a slot scan.
+///
+/// [`Clone::clone_from`] reuses every buffer of the target and copies each
+/// member list in order, so snapshotting into a kept partition allocates
+/// only when the source outgrows it.
 ///
 /// ```
 /// use ff_graph::generators::path;
@@ -26,7 +33,7 @@ use rand_chacha::ChaCha8Rng;
 /// assert_eq!(p.part_size(1), 4);
 /// assert!(p.validate(&g));
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct Partition {
     assignment: Vec<u32>,
     part_weight: Vec<f64>,
@@ -34,6 +41,54 @@ pub struct Partition {
     members: Vec<Vec<VertexId>>,
     /// Index of each vertex inside its part's member list.
     pos: Vec<u32>,
+    /// Number of non-empty parts.
+    live: usize,
+    /// Fenwick tree over part slots, counting 1 per non-empty slot. Node
+    /// `j` (1-based, stored at `live_tree[j - 1]`) sums slots
+    /// `j - lowbit(j) .. j`.
+    live_tree: Vec<u32>,
+}
+
+impl Clone for Partition {
+    fn clone(&self) -> Self {
+        Partition {
+            assignment: self.assignment.clone(),
+            part_weight: self.part_weight.clone(),
+            members: self.members.clone(),
+            pos: self.pos.clone(),
+            live: self.live,
+            live_tree: self.live_tree.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.assignment.clone_from(&source.assignment);
+        self.part_weight.clone_from(&source.part_weight);
+        // Element-wise `clone_from`: each kept member list reuses its
+        // buffer and receives the source's order exactly.
+        self.members.clone_from(&source.members);
+        self.pos.clone_from(&source.pos);
+        self.live = source.live;
+        self.live_tree.clone_from(&source.live_tree);
+    }
+}
+
+/// Lowest set bit of a 1-based Fenwick node index.
+#[inline]
+fn lowbit(j: usize) -> usize {
+    j & j.wrapping_neg()
+}
+
+/// Builds the Fenwick tree of non-empty slots in O(slots).
+fn build_live_tree(members: &[Vec<VertexId>]) -> Vec<u32> {
+    let mut tree: Vec<u32> = members.iter().map(|m| u32::from(!m.is_empty())).collect();
+    for j in 1..=tree.len() {
+        let parent = j + lowbit(j);
+        if parent <= tree.len() {
+            tree[parent - 1] += tree[j - 1];
+        }
+    }
+    tree
 }
 
 impl PartialEq for Partition {
@@ -68,6 +123,8 @@ impl Partition {
         Partition {
             assignment,
             part_weight,
+            live: members.iter().filter(|m| !m.is_empty()).count(),
+            live_tree: build_live_tree(&members),
             members,
             pos,
         }
@@ -106,9 +163,35 @@ impl Partition {
         self.members.len()
     }
 
-    /// Number of non-empty parts.
+    /// Number of non-empty parts. O(1).
+    #[inline]
     pub fn num_nonempty_parts(&self) -> usize {
-        self.members.iter().filter(|m| !m.is_empty()).count()
+        self.live
+    }
+
+    /// The `r`-th non-empty part (0-based), in ascending slot order.
+    /// O(log slots).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `r` ≥ [`Partition::num_nonempty_parts`].
+    pub fn nth_nonempty_part(&self, r: usize) -> u32 {
+        assert!(r < self.live, "rank {r} ≥ {} non-empty parts", self.live);
+        // Binary-lifting descent: `j` ends as the longest slot prefix
+        // holding at most `r` non-empty slots, so slot `j` is the answer.
+        let tree = &self.live_tree;
+        let mut rest = r as u32;
+        let mut j = 0usize;
+        let mut step = 1usize << tree.len().ilog2();
+        while step > 0 {
+            let next = j + step;
+            if next <= tree.len() && tree[next - 1] <= rest {
+                j = next;
+                rest -= tree[next - 1];
+            }
+            step >>= 1;
+        }
+        j as u32
     }
 
     /// Number of vertices.
@@ -164,16 +247,53 @@ impl Partition {
         if last != v {
             self.pos[last as usize] = vpos as u32;
         }
-        self.pos[v as usize] = self.members[to as usize].len() as u32;
-        self.members[to as usize].push(v);
+        if old.is_empty() {
+            self.set_live(from, false);
+        }
+        let dest = &mut self.members[to as usize];
+        self.pos[v as usize] = dest.len() as u32;
+        dest.push(v);
+        if dest.len() == 1 {
+            self.set_live(to, true);
+        }
         self.assignment[v as usize] = to;
     }
 
-    /// Appends a new empty part; returns its id.
+    /// Records in the live count and the live-slot tree that slot `p`
+    /// just became non-empty (`filled`) or empty.
+    fn set_live(&mut self, p: u32, filled: bool) {
+        if filled {
+            self.live += 1;
+        } else {
+            self.live -= 1;
+        }
+        let mut j = p as usize + 1;
+        while j <= self.live_tree.len() {
+            let node = &mut self.live_tree[j - 1];
+            if filled {
+                *node += 1;
+            } else {
+                *node -= 1;
+            }
+            j += lowbit(j);
+        }
+    }
+
+    /// Appends a new empty part; returns its id. O(log slots).
     pub fn add_part(&mut self) -> u32 {
         self.members.push(Vec::new());
         self.part_weight.push(0.0);
-        (self.num_parts() - 1) as u32
+        // The new node `j` sums slots `j - lowbit(j) .. j`: its own empty
+        // slot plus the child nodes that tile the rest of that range.
+        let j = self.members.len();
+        let mut sum = 0;
+        let mut c = j - 1;
+        while c > j - lowbit(j) {
+            sum += self.live_tree[c - 1];
+            c -= lowbit(c);
+        }
+        self.live_tree.push(sum);
+        (j - 1) as u32
     }
 
     /// Members of part `p`, ascending. O(s log s) for the sort; use
@@ -217,11 +337,13 @@ impl Partition {
         }
         self.part_weight = weight;
         self.members = members;
+        self.live_tree = build_live_tree(&self.members);
         remap
     }
 
-    /// Structural self-check (tests and debug assertions): counts and
-    /// weights agree with the assignment.
+    /// Structural self-check (tests and debug assertions): counts, weights,
+    /// the live-part count and the live-slot tree agree with the
+    /// assignment.
     pub fn validate(&self, g: &Graph) -> bool {
         if self.assignment.len() != g.num_vertices() {
             return false;
@@ -245,6 +367,11 @@ impl Partition {
                     return false;
                 }
             }
+        }
+        if self.live != count.iter().filter(|&&c| c > 0).count()
+            || self.live_tree != build_live_tree(&self.members)
+        {
+            return false;
         }
         weight
             .iter()
@@ -339,6 +466,33 @@ mod tests {
         let p = Partition::from_assignment(&g, vec![0, 0, 1], 2);
         assert_eq!(p.part_weight(0), 2.0);
         assert_eq!(p.part_weight(1), 10.0);
+    }
+
+    #[test]
+    fn clone_from_copies_member_order_into_any_slot_count() {
+        let g = grid2d(4, 4);
+        let mut src = Partition::random(&g, 5, 3);
+        // Scramble member order away from ascending, and empty a slot.
+        for (v, to) in [(0, 4), (15, 0), (7, 2), (3, 1), (12, 4)] {
+            src.move_vertex(&g, v, to);
+        }
+        for v in src.part_members(3) {
+            src.move_vertex(&g, v, 1);
+        }
+        assert!(src.num_nonempty_parts() < src.num_parts());
+        let targets = [
+            Partition::singletons(&g), // more slots
+            Partition::block(&g, 2),   // fewer slots
+            Partition::random(&g, 5, 8),
+        ];
+        for mut dst in targets {
+            dst.clone_from(&src);
+            assert_eq!(dst, src);
+            assert!(dst.validate(&g));
+            for p in 0..src.num_parts() as u32 {
+                assert_eq!(dst.part_members_unordered(p), src.part_members_unordered(p));
+            }
+        }
     }
 
     #[test]

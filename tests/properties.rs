@@ -111,6 +111,44 @@ proptest! {
         }
     }
 
+    /// The live-part count and the live-slot tree behind
+    /// `nth_nonempty_part` must track every `move_vertex`, `add_part` and
+    /// `compact`: fusion–fission's live-atom pick reads them every step.
+    #[test]
+    fn live_part_index_matches_a_slot_scan(
+        g in arb_graph(),
+        seed in any::<u64>(),
+    ) {
+        use rand::prelude::*;
+        use rand_chacha::ChaCha8Rng;
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let n = g.num_vertices();
+        let mut p = Partition::random(&g, rng.gen_range(1..=n), seed);
+        for _ in 0..60 {
+            match rng.gen_range(0..10) {
+                0 => {
+                    p.add_part();
+                }
+                1 => {
+                    p.compact();
+                }
+                _ => {
+                    let v = rng.gen_range(0..n) as u32;
+                    let to = rng.gen_range(0..p.num_parts()) as u32;
+                    p.move_vertex(&g, v, to);
+                }
+            }
+            let live: Vec<u32> = (0..p.num_parts() as u32)
+                .filter(|&q| p.part_size(q) > 0)
+                .collect();
+            prop_assert_eq!(p.num_nonempty_parts(), live.len());
+            for (r, &q) in live.iter().enumerate() {
+                prop_assert_eq!(p.nth_nonempty_part(r), q);
+            }
+            prop_assert!(p.validate(&g));
+        }
+    }
+
     #[test]
     fn coarsening_preserves_weight_invariants(
         g in arb_graph(),
