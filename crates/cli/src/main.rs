@@ -77,7 +77,8 @@
 //!                            hosts a shard of the islands. Same bytes
 //!                            out as a single-server submit with the
 //!                            same seed/steps/chunk. Needs --steps (no
-//!                            --deadline-ms/--multilevel); replaces
+//!                            --deadline-ms); under --multilevel the
+//!                            servers search the coarse graph; replaces
 //!                            --connect
 //!
 //! stats options:
@@ -122,7 +123,8 @@
 //!                            worker processes (`auto` = one per core,
 //!                            capped at the island count). Byte-identical
 //!                            to the same run without --workers; needs
-//!                            -m ff and a pure --steps budget
+//!                            -m ff and a pure --steps budget (works
+//!                            with --multilevel)
 //!   -f, --format NAME        metis | edgelist                  (default metis)
 //!   -w, --write PATH         write the partition (.part format)
 //!   -r, --repair             repair disconnected parts before reporting
@@ -359,12 +361,9 @@ fn parse_args() -> Result<Args, String> {
 }
 
 fn load_graph(path: &str, format: &str) -> Result<Graph, String> {
-    let file = File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
-    match format {
-        "metis" => ff_graph::io::read_metis(file).map_err(|e| format!("{path}: {e}")),
-        "edgelist" => ff_graph::io::read_edge_list(file).map_err(|e| format!("{path}: {e}")),
-        other => Err(format!("unknown format `{other}` (metis|edgelist)")),
-    }
+    let parsed = ff_service::GraphFormat::parse(format);
+    let format = parsed.ok_or(format!("unknown format `{format}` (metis|edgelist)"))?;
+    ff_service::read_graph(&ff_service::GraphSource::Path(path.into()), format)
 }
 
 /// `ffpart serve`: run the ff-service partition server.
@@ -960,11 +959,8 @@ fn submit_federated(
             return ExitCode::from(3);
         }
     };
-    let parsed = match format {
-        ff_service::GraphFormat::Metis => ff_graph::io::read_metis(data.as_bytes()),
-        ff_service::GraphFormat::EdgeList => ff_graph::io::read_edge_list(data.as_bytes()),
-    };
-    let g = match parsed {
+    let source = ff_service::GraphSource::Data(data);
+    let g = match ff_service::read_graph(&source, format) {
         Ok(g) => g,
         Err(e) => {
             eprintln!("ffpart submit: {graph_path}: {e}");
@@ -992,7 +988,7 @@ fn submit_federated(
     let result = ff_service::solve_on_workers(
         solver,
         &job.instance,
-        &ff_service::GraphSource::Data(data),
+        &source,
         format,
         &ff_service::WorkerSet::Connect { addrs },
         &ff_service::DistOpts::default(),
@@ -1040,13 +1036,7 @@ fn submit_federated(
 
 /// The fusion–fission [`Solver`] the flags describe: the one chain both
 /// the in-process run and `--workers` drive.
-fn ff_solver<'g>(
-    g: &'g Graph,
-    args: &Args,
-    islands: usize,
-    budget: MethodBudget,
-    multilevel: Option<ff_engine::MultilevelOpts>,
-) -> Solver<'g> {
+fn ff_solver<'g>(g: &'g Graph, args: &Args, islands: usize, budget: MethodBudget) -> Solver<'g> {
     let mut solver = Solver::on(g)
         .k(args.k)
         .objectives(args.objectives.clone())
@@ -1058,19 +1048,26 @@ fn ff_solver<'g>(
     if ff_engine::distinct_objectives(&args.objectives).len() > 1 {
         solver = solver.reduction(ParetoFront);
     }
-    match multilevel {
-        Some(opts) => solver.multilevel(opts),
-        // A lone flat island is the plain fusion–fission run, seeded with
-        // the root seed itself.
-        None if islands == 1 => solver.island_seeds([args.seed]),
-        None => solver,
+    if args.multilevel {
+        let defaults = ff_engine::MultilevelOpts::default();
+        let coarsen_until = args.coarsen_until.unwrap_or(defaults.coarsen_until);
+        solver = solver.multilevel(ff_engine::MultilevelOpts {
+            coarsen_until,
+            ..defaults
+        });
     }
+    // A lone island is seeded with the root seed itself (flat, it is the
+    // plain fusion–fission run), the rule a served job follows too.
+    if islands == 1 {
+        solver = solver.island_seeds([args.seed]);
+    }
+    solver
 }
 
-/// One-shot `--workers`: `solver`'s islands sharded across spawned
-/// `ffpart worker` child processes. Byte-identical to running `solver`
-/// in-process, which is why it needs what the wire can express (a pure
-/// step budget, a flat run).
+/// One-shot `--workers`: `solver`'s islands (on the coarse graph, under
+/// `--multilevel`) sharded across spawned `ffpart worker` processes.
+/// Byte-identical to running `solver` in-process, which is why it needs
+/// what the wire can express (standard parameters, a pure step budget).
 fn run_on_workers(
     solver: Solver<'_>,
     args: &Args,
@@ -1184,13 +1181,6 @@ fn main() -> ExitCode {
         eprintln!("ffpart: --multilevel needs -m ff (it accelerates the fusion–fission engine)");
         return ExitCode::from(2);
     }
-    let ml_opts = args.multilevel.then(|| {
-        let mut opts = ff_engine::MultilevelOpts::default();
-        if let Some(n) = args.coarsen_until {
-            opts.coarsen_until = n;
-        }
-        opts
-    });
     // Cycling the objective list needs enough islands that every
     // distinct objective gets one (duplicates in the list weight the
     // cycle, so this can exceed the distinct count).
@@ -1243,7 +1233,7 @@ fn main() -> ExitCode {
     };
     let (mut partition, elapsed) = if args.method == MethodId::FusionFission {
         let started = std::time::Instant::now();
-        let solver = ff_solver(&g, &args, islands, budget, ml_opts);
+        let solver = ff_solver(&g, &args, islands, budget);
         let result = match &args.workers {
             Some(spec) => run_on_workers(solver, &args, spec),
             None => solver.run().map_err(|e| {

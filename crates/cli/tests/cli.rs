@@ -667,6 +667,67 @@ fn submit_multilevel_job_reproduces_byte_identically() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A lone island is seeded with the root seed in a one-shot run and in
+/// a served job alike, multilevel included, so both write the same bytes.
+#[test]
+fn lone_multilevel_island_agrees_between_oneshot_and_submit() {
+    let dir = std::env::temp_dir().join(format!("ffpart-test-lone-ml-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let g = ff_graph::generators::planted_partition(4, 60, 0.2, 0.01, 9);
+    let graph = dir.join("pp.graph");
+    let mut f = std::fs::File::create(&graph).unwrap();
+    ff_graph::io::write_metis(&g, &mut f).unwrap();
+    drop(f);
+    let (guard, addr) = spawn_server();
+    let common = |out: &std::path::Path| {
+        [
+            graph.to_str().unwrap(),
+            "-k",
+            "4",
+            "-s",
+            "7",
+            "--steps",
+            "2000",
+            "--multilevel",
+            "--coarsen-until",
+            "60",
+            "-q",
+            "-w",
+            out.to_str().unwrap(),
+        ]
+        .map(String::from)
+    };
+    let (one_shot, served) = (dir.join("one_shot.part"), dir.join("served.part"));
+    let mut args = common(&one_shot).to_vec();
+    args.extend(["--islands", "1"].map(String::from));
+    let output = ffpart().args(&args).output().unwrap();
+    assert!(
+        output.status.success(),
+        "{}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    let mut args = ["submit", "--connect", &addr].map(String::from).to_vec();
+    args.extend(common(&served));
+    let output = ffpart().args(&args).output().unwrap();
+    assert!(
+        output.status.success(),
+        "{}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    assert_eq!(
+        std::fs::read(&one_shot).unwrap(),
+        std::fs::read(&served).unwrap(),
+        "one-shot and served lone multilevel islands diverged"
+    );
+
+    ff_service::Client::connect(&*addr)
+        .unwrap()
+        .shutdown()
+        .unwrap();
+    drop(guard);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn submit_usage_errors_exit_2() {
     let output = ffpart().args(["submit", "-k", "2"]).output().unwrap();
@@ -925,10 +986,29 @@ fn one_shot_workers_flag_is_byte_identical_to_in_process() {
         );
     }
 
+    // A multilevel run distributes too: the workers search the coarse
+    // graph (one level, 4 vertices) and the bytes match in-process.
+    let ml = ["--multilevel", "--coarsen-until", "4"];
+    let ml_base = dir.join("ml_base.part");
+    let (ml_stdout, ml_stderr) = run(&ml_base, &ml);
+    assert!(
+        String::from_utf8_lossy(&ml_stderr).contains("multilevel: 1 levels, coarse 4 vertices"),
+        "{}",
+        String::from_utf8_lossy(&ml_stderr)
+    );
+    let ml_workers = dir.join("ml_w2.part");
+    let (stdout, stderr) = run(&ml_workers, &[&ml[..], &["--workers", "2"]].concat());
+    assert_eq!(
+        std::fs::read(&ml_workers).unwrap(),
+        std::fs::read(&ml_base).unwrap(),
+        "--workers 2 --multilevel diverged from the in-process partition"
+    );
+    assert_eq!(metrics(&stdout), metrics(&ml_stdout));
+    assert!(String::from_utf8_lossy(&stderr).contains("multilevel: 1 levels, coarse 4 vertices"));
+
     // Distribution is ff-only and step-budgeted: anything else is usage.
     for extra in [
         &["--workers", "2", "-m", "multilevel"][..],
-        &["--workers", "2", "--multilevel"][..],
         &["--workers", "2", "-b", "0.5"][..],
         &["--workers", "0"][..],
     ] {
@@ -1008,6 +1088,67 @@ fn federated_submit_matches_single_server_submit() {
         std::fs::read(&fed).unwrap(),
         std::fs::read(&single).unwrap(),
         "federated two-server run diverged from the single-server job"
+    );
+
+    // The same for a multilevel job: the federated coordinator coarsens,
+    // the servers search the coarse graph it ships them.
+    let ml = ["--multilevel", "--coarsen-until", "4"].map(String::from);
+    let single_ml = dir.join("single_ml.part");
+    let mut args = vec!["submit".to_string(), "--connect".into(), addr_c.clone()];
+    args.extend(common(&single_ml));
+    args.extend(ml.clone());
+    let output = ffpart().args(&args).output().unwrap();
+    assert!(
+        output.status.success(),
+        "{}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    let fed_ml = dir.join("federated_ml.part");
+    let mut args = vec![
+        "submit".to_string(),
+        "--workers".into(),
+        format!("{addr_a},{addr_b}"),
+    ];
+    args.extend(common(&fed_ml));
+    args.extend(ml);
+    let output = ffpart().args(&args).output().unwrap();
+    assert!(
+        output.status.success(),
+        "{}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    assert_eq!(
+        std::fs::read(&fed_ml).unwrap(),
+        std::fs::read(&single_ml).unwrap(),
+        "federated multilevel run diverged from the single-server job"
+    );
+    // The coarse graph went in under a key of its own: the fine instance
+    // the flat federated run loaded is still cached, unreplaced, and a
+    // plain submit of the same instance key partitions the fine graph.
+    let instance = graph.to_str().unwrap();
+    let text = std::fs::read_to_string(&graph).unwrap();
+    let (vertices, _, cached) = ff_service::Client::connect(&*addr_a)
+        .unwrap()
+        .load(
+            instance,
+            ff_service::GraphSource::Data(text),
+            ff_service::GraphFormat::Metis,
+        )
+        .unwrap();
+    assert_eq!((vertices, cached), (6, true), "fine instance was replaced");
+    let plain = dir.join("plain.part");
+    let mut args = vec!["submit".to_string(), "--connect".into(), addr_a.clone()];
+    args.extend(common(&plain));
+    let output = ffpart().args(&args).output().unwrap();
+    assert!(
+        output.status.success(),
+        "{}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    assert_eq!(
+        std::fs::read(&plain).unwrap(),
+        std::fs::read(&single).unwrap(),
+        "plain submit after the multilevel job must partition the fine graph"
     );
 
     // `--workers` and `--connect` are mutually exclusive in submit.

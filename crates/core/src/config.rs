@@ -52,8 +52,8 @@ pub enum ConfigError {
     /// partition lives on the fine graph, but the search runs on the
     /// coarse one.
     MultilevelWithInitial,
-    /// Multilevel mode requested on the resumable `start()` path: the
-    /// V-cycle owns the epoch loop, so only `run()` supports it.
+    /// A multilevel solver started without `split()`: its islands run on
+    /// the coarse graph the split-off stage owns.
     MultilevelNotResumable,
 }
 
@@ -88,10 +88,7 @@ impl std::fmt::Display for ConfigError {
                 )
             }
             ConfigError::MultilevelNotResumable => {
-                write!(
-                    f,
-                    "multilevel runs are not resumable; use run() instead of start()"
-                )
+                write!(f, "a multilevel solver must be split() before start()")
             }
         }
     }

@@ -43,10 +43,11 @@ pub struct EnsembleResult {
     /// re-scored on the input graph).
     pub pareto: Option<ParetoResult>,
     /// What the multilevel pipeline did, when the run used
-    /// [`Solver::multilevel`](crate::Solver::multilevel). `best`,
-    /// `best_value` and `pareto` are then fine-graph quantities, while
-    /// `islands`, `trace` and `best_value_per_k` describe the coarse
-    /// search.
+    /// [`Solver::multilevel`](crate::Solver::multilevel), on whatever
+    /// host its islands ran ([`Stage::finish`](crate::Stage::finish)
+    /// attaches it). `best`, `best_value` and `pareto` are then
+    /// fine-graph quantities, while `islands`, `trace` and
+    /// `best_value_per_k` describe the coarse search.
     pub multilevel: Option<crate::MultilevelInfo>,
 }
 

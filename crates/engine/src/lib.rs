@@ -136,8 +136,10 @@
 //!
 //! [`Solver::multilevel`] coarsens the input by heavy-edge matching, runs
 //! the unchanged ensemble on the coarse graph, then uncoarsens level by
-//! level with greedy refinement ([`ff_multilevel::Vcycle`]). Same
-//! determinism contract; steps cost a fraction of their flat price:
+//! level with greedy refinement ([`ff_multilevel::Vcycle`]).
+//! [`Solver::split`] hands the V-cycle to a [`Stage`] so that any
+//! [`IslandHost`] can run the coarse search. Same determinism contract;
+//! steps cost a fraction of their flat price:
 //!
 //! ```
 //! use ff_engine::{MultilevelOpts, Solver};
@@ -184,4 +186,4 @@ pub use multilevel::{LevelReport, MultilevelInfo, MultilevelOpts};
 pub use pool::parallel_map;
 pub use reduction::{MinEnergy, ParetoFront, ParetoPoint, ParetoResult, Reduced, Reduction};
 pub use seeds::derive_seeds;
-pub use solver::{distinct_objectives, islands_to_cover, Solver, SolverRun};
+pub use solver::{distinct_objectives, islands_to_cover, Solver, SolverRun, Stage};

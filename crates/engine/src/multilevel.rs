@@ -12,12 +12,17 @@
 //! their flat price, so the same step budget finishes in a fraction of
 //! the wall-clock.
 //!
+//! [`Solver::split`] hands the V-cycle to a [`Stage`](crate::Stage), so
+//! every island host — this process, or worker processes — runs the
+//! same pipeline.
+//!
 //! Determinism is preserved end to end: the coarsening stack, the coarse
 //! ensemble, and every refinement sweep are pure functions of the root
 //! seed, so equal seeds and step budgets give byte-identical fine
-//! partitions across reruns and thread caps.
+//! partitions across reruns, thread caps and island hosts.
 //!
 //! [`Solver::multilevel`]: crate::Solver::multilevel
+//! [`Solver::split`]: crate::Solver::split
 
 pub use ff_multilevel::LevelReport;
 
@@ -29,13 +34,6 @@ pub struct MultilevelOpts {
     pub coarsen_until: usize,
     /// Greedy refinement sweeps per uncoarsening level (default 8).
     pub refine_passes: usize,
-    /// Optional fine-graph polish: after uncoarsening, warm-start one
-    /// fusion–fission run (`FusionFission::with_initial`) on the input
-    /// graph from the refined partition for this many steps, keeping the
-    /// result only if it is at least as good. `0` (default) disables it.
-    /// Ignored for Pareto reductions, whose points are refined per
-    /// objective instead.
-    pub polish_steps: u64,
 }
 
 impl Default for MultilevelOpts {
@@ -43,7 +41,6 @@ impl Default for MultilevelOpts {
         MultilevelOpts {
             coarsen_until: 3000,
             refine_passes: 8,
-            polish_steps: 0,
         }
     }
 }

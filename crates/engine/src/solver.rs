@@ -27,9 +27,9 @@ use crate::host::{IslandHost, IslandSetup, LocalIslands};
 use crate::migration::{IslandStatus, MigrationPolicy, ReplaceIfBetter};
 use crate::multilevel::{MultilevelInfo, MultilevelOpts};
 use crate::obs::{record_level_reports, EngineObs};
-use crate::reduction::{MinEnergy, ParetoPoint, Reduction};
+use crate::reduction::{MinEnergy, Reduction};
 use crate::seeds::derive_seeds;
-use ff_core::{ConfigError, FusionFission, FusionFissionConfig, FusionFissionRun};
+use ff_core::{ConfigError, FusionFissionConfig, FusionFissionRun};
 use ff_graph::Graph;
 use ff_metaheur::{AnytimeTrace, CancelToken, StopCondition};
 use ff_multilevel::{Vcycle, VcycleOpts};
@@ -67,8 +67,8 @@ pub fn islands_to_cover(list: &[Objective]) -> usize {
 
 /// Fluent, validated configuration for a fusion–fission run — one island
 /// or a whole migration ensemble. Build with [`Solver::on`], configure,
-/// then [`Solver::run`] (one-shot) or [`Solver::start`] (resumable
-/// [`SolverRun`]).
+/// then [`Solver::run`] (one-shot), [`Solver::start`] (resumable
+/// [`SolverRun`]) or [`Solver::split`] (drive the run on any host).
 pub struct Solver<'g> {
     g: &'g Graph,
     base: FusionFissionConfig,
@@ -200,10 +200,10 @@ impl<'g> Solver<'g> {
 
     /// Multilevel acceleration: coarsen the graph, run the (unchanged)
     /// ensemble on the coarse graph, then uncoarsen with per-level greedy
-    /// refinement. Only [`Solver::run`] / [`Solver::run_with`] support it
-    /// — the V-cycle owns the epoch loop, so [`Solver::start`] rejects it
-    /// with [`ConfigError::MultilevelNotResumable`]. Incompatible with
-    /// [`Solver::initial`] (the warm start lives on the fine graph).
+    /// refinement. To drive the coarse run on a host of your own,
+    /// [`Solver::split`] first: [`Solver::start`] refuses an unsplit
+    /// multilevel solver. Incompatible with [`Solver::initial`] (the warm
+    /// start lives on the fine graph).
     pub fn multilevel(mut self, opts: MultilevelOpts) -> Self {
         self.multilevel = Some(opts);
         self
@@ -276,9 +276,10 @@ impl<'g> Solver<'g> {
 
     /// The islands this solver starts, in island order: each one's seed,
     /// search configuration and warm start. An [`IslandHost`] builds its
-    /// islands from these. Fails like [`Solver::start`].
+    /// islands from these; they do not depend on the graph, so a
+    /// multilevel solver has them too. Fails like [`Solver::try_validate`].
     pub fn island_setups(&self) -> Result<Vec<IslandSetup>, ConfigError> {
-        self.validate_flat()?;
+        self.try_validate()?;
         let seeds = match &self.island_seeds {
             Some(seeds) => seeds.clone(),
             None => derive_seeds(self.seed, self.islands),
@@ -298,11 +299,12 @@ impl<'g> Solver<'g> {
     }
 
     /// Builds the live, resumable run, or reports the first
-    /// configuration error. Rejects multilevel configurations
-    /// ([`ConfigError::MultilevelNotResumable`]): the V-cycle owns the
-    /// epoch loop, so multilevel runs go through [`Solver::run`] or
-    /// [`Solver::run_with`].
+    /// configuration error. Rejects an unsplit multilevel solver
+    /// ([`ConfigError::MultilevelNotResumable`]): its islands run on the
+    /// coarse graph its [`Stage`] owns, so call [`Solver::split`] and
+    /// start the solver [`Stage::bind`] returns.
     pub fn start(self) -> Result<SolverRun<'g>, ConfigError> {
+        self.validate_flat()?;
         let host = LocalIslands::new(self.g, self.island_setups()?, self.max_threads);
         self.start_on(host)
     }
@@ -337,7 +339,7 @@ impl<'g> Solver<'g> {
         })
     }
 
-    /// [`Solver::try_validate`] plus the rejection of multilevel
+    /// [`Solver::try_validate`] plus the rejection of unsplit multilevel
     /// configurations, which do not start a flat run.
     fn validate_flat(&self) -> Result<(), ConfigError> {
         if self.multilevel.is_some() {
@@ -370,151 +372,130 @@ impl<'g> Solver<'g> {
     /// [`Solver::multilevel`]) and advances it however it likes —
     /// streaming traces, checking deadlines, binding cancellation.
     /// Harvest (and, for multilevel, uncoarsening) happens after `drive`
-    /// returns.
-    pub fn run_with<D>(mut self, mut drive: D) -> Result<EnsembleResult, ConfigError>
+    /// returns. This is [`Solver::split`] driven in this process.
+    pub fn run_with<D>(self, mut drive: D) -> Result<EnsembleResult, ConfigError>
     where
         D: for<'a> FnMut(&mut SolverRun<'a>),
     {
+        let (flat, stage) = self.split()?;
+        let mut run = stage.bind(flat).start()?;
+        drive(&mut run);
+        let harvest = run.harvest();
+        Ok(stage.finish(harvest))
+    }
+
+    /// Splits a validated solver into the flat solver and its [`Stage`],
+    /// which builds and owns the V-cycle under [`Solver::multilevel`].
+    /// Every driver starts `stage.bind(flat)` on its [`IslandHost`],
+    /// drives it and hands the harvest to [`Stage::finish`].
+    pub fn split(mut self) -> Result<(Solver<'g>, Stage<'g>), ConfigError> {
         self.try_validate()?;
-        let Some(opts) = self.multilevel.take() else {
-            let mut run = self.start()?;
-            drive(&mut run);
-            return Ok(run.harvest());
-        };
-        let g = self.g;
-        let base = self.base;
-        let vc = Vcycle::new(
-            g,
-            VcycleOpts {
+        let vcycle = self.multilevel.take().map(|opts| {
+            let opts = VcycleOpts {
                 coarsen_until: opts.coarsen_until,
                 refine_passes: opts.refine_passes,
                 seed: self.seed,
-                min_coarse_vertices: base.k.max(2),
-            },
-        );
-        let Solver {
-            g: _,
-            base: _,
-            islands,
-            max_threads,
-            migration_interval,
-            migration,
-            reduction,
-            seed,
-            island_seeds,
-            objectives,
-            initial: _,
-            multilevel: _,
-            obs,
-        } = self;
-        let obs_registry = obs.clone();
-        let coarse_solver = Solver {
-            g: vc.coarsest(),
-            base,
-            islands,
-            max_threads,
-            migration_interval,
-            migration,
-            reduction,
-            seed,
-            island_seeds,
-            objectives,
-            initial: None,
-            multilevel: None,
-            obs,
+                min_coarse_vertices: self.base.k.max(2),
+            };
+            Vcycle::new(self.g, opts)
+        });
+        let stage = Stage {
+            g: self.g,
+            vcycle,
+            objective: self.base.objective,
+            obs: self.obs.clone(),
         };
-        let mut run = coarse_solver.start()?;
-        drive(&mut run);
-        let mut res = run.harvest();
+        Ok((self, stage))
+    }
+}
 
-        if let Some(front) = res.pareto.take() {
-            // Refine every front point under its own objective, re-score
-            // under all axes on the fine graph, and re-filter: refinement
-            // can change domination.
-            let axes = front.objectives.clone();
-            let mut points = front.points;
-            let mut reports_per_point = Vec::with_capacity(points.len());
-            for pt in &mut points {
-                let (fine, reports) = vc.refine_up(&pt.partition, pt.objective);
-                if let Some(registry) = &obs_registry {
-                    record_level_reports(registry, &reports);
-                }
-                pt.values = axes.iter().map(|o| o.evaluate(g, &fine)).collect();
-                pt.parts = fine.num_nonempty_parts();
-                pt.partition = fine;
-                reports_per_point.push(reports);
-            }
-            let vectors: Vec<Vec<f64>> = points.iter().map(|p| p.values.clone()).collect();
-            let keep = pareto_front_indices(&vectors);
-            let (points, reports_per_point): (Vec<ParetoPoint>, Vec<_>) = keep
-                .into_iter()
-                .map(|i| (points[i].clone(), std::mem::take(&mut reports_per_point[i])))
-                .unzip();
-            let front = crate::reduction::ParetoResult {
-                objectives: axes,
-                points,
-            };
-            let mut rep_reports = Vec::new();
-            if let Some(rep) = front.best_under(front.objectives[0]) {
-                let axis = front
-                    .objectives
-                    .iter()
-                    .position(|&o| o == rep.objective)
-                    .unwrap_or(0);
-                res.best = rep.partition.clone();
-                res.best_value = rep.values[axis];
-                res.best_island = rep.island;
-                let idx = front.points.iter().position(|p| p.island == rep.island);
-                if let Some(idx) = idx {
-                    rep_reports = reports_per_point[idx].clone();
-                }
-            }
-            res.pareto = Some(front);
-            res.multilevel = Some(MultilevelInfo {
-                levels: vc.num_levels(),
-                coarse_vertices: vc.coarsest().num_vertices(),
-                reports: rep_reports,
-            });
-            return Ok(res);
-        }
+/// The V-cycle half of a [`Solver`], from [`Solver::split`].
+pub struct Stage<'g> {
+    g: &'g Graph,
+    vcycle: Option<Vcycle<'g>>,
+    /// What a winner whose trace has no objective tag is refined under.
+    objective: Objective,
+    obs: Option<ff_obs::Registry>,
+}
 
-        // Single-front path: refine the winning partition under the
-        // winning island's own objective.
-        let win_obj = res.islands[res.best_island]
-            .trace
-            .tag()
-            .unwrap_or(base.objective);
-        let (fine, reports) = vc.refine_up(&res.best, win_obj);
-        if let Some(registry) = &obs_registry {
-            record_level_reports(registry, &reports);
+impl<'g> Stage<'g> {
+    /// The graph the islands search: the coarsest graph of a multilevel
+    /// run, the input graph otherwise.
+    pub fn graph(&self) -> &Graph {
+        self.vcycle.as_ref().map_or(self.g, |vc| vc.coarsest())
+    }
+
+    /// The V-cycle, when the solver was multilevel.
+    pub fn vcycle(&self) -> Option<&Vcycle<'g>> {
+        self.vcycle.as_ref()
+    }
+
+    /// The flat solver from [`Solver::split`], retargeted to
+    /// [`Stage::graph`].
+    pub fn bind<'s>(&'s self, flat: Solver<'g>) -> Solver<'s> {
+        Solver {
+            g: self.graph(),
+            ..flat
         }
-        res.best_value = reports
-            .last()
-            .map(|r| r.value_after)
-            .unwrap_or(res.best_value);
-        res.best = fine;
-        if opts.polish_steps > 0 {
-            // Warm-start one fine-graph fusion–fission run from the
-            // refined partition; keep it when at least as good.
-            let polish_seed = derive_seeds(seed, islands + 1)[islands];
-            let cfg = FusionFissionConfig {
-                objective: win_obj,
-                stop: StopCondition::steps(opts.polish_steps),
-                ..base
-            };
-            let polished = FusionFission::with_initial(g, cfg, polish_seed, res.best.clone()).run();
-            res.steps += polished.steps;
-            if polished.best_value <= res.best_value {
-                res.best_value = polished.best_value;
-                res.best = polished.best;
+    }
+
+    /// Refines the bound run's harvest up the V-cycle: the winner under
+    /// its island's objective, or every Pareto point under its own, then
+    /// re-scored on the input graph and re-filtered (refinement can
+    /// change domination). Attaches [`MultilevelInfo`]. A flat run's
+    /// harvest passes through unchanged.
+    pub fn finish(self, mut res: EnsembleResult) -> EnsembleResult {
+        let Some(vc) = &self.vcycle else {
+            return res;
+        };
+        let refine = |coarse: &Partition, objective| {
+            let (fine, reports) = vc.refine_up(coarse, objective);
+            if let Some(registry) = &self.obs {
+                record_level_reports(registry, &reports);
             }
-        }
+            (fine, reports)
+        };
+        let reports = match res.pareto.take() {
+            None => {
+                let tag = res.islands[res.best_island].trace.tag();
+                let (fine, reports) = refine(&res.best, tag.unwrap_or(self.objective));
+                res.best_value = reports.last().map_or(res.best_value, |r| r.value_after);
+                res.best = fine;
+                reports
+            }
+            Some(mut front) => {
+                let mut reports = vec![Vec::new(); res.islands.len()];
+                for pt in &mut front.points {
+                    let (fine, island_reports) = refine(&pt.partition, pt.objective);
+                    pt.values = front
+                        .objectives
+                        .iter()
+                        .map(|o| o.evaluate(self.g, &fine))
+                        .collect();
+                    pt.parts = fine.num_nonempty_parts();
+                    pt.partition = fine;
+                    reports[pt.island] = island_reports;
+                }
+                let vectors: Vec<_> = front.points.iter().map(|p| p.values.clone()).collect();
+                let keep = pareto_front_indices(&vectors);
+                front.points = keep.iter().map(|&i| front.points[i].clone()).collect();
+                let rep = front.best_under(front.objectives[0]).map(|rep| {
+                    let axis = front.objectives.iter().position(|&o| o == rep.objective);
+                    res.best = rep.partition.clone();
+                    res.best_value = rep.values[axis.unwrap_or(0)];
+                    res.best_island = rep.island;
+                    std::mem::take(&mut reports[rep.island])
+                });
+                res.pareto = Some(front);
+                rep.unwrap_or_default()
+            }
+        };
         res.multilevel = Some(MultilevelInfo {
             levels: vc.num_levels(),
             coarse_vertices: vc.coarsest().num_vertices(),
             reports,
         });
-        Ok(res)
+        res
     }
 }
 

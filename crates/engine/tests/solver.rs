@@ -722,30 +722,54 @@ fn multilevel_pareto_points_are_fine_and_non_dominated() {
     );
 }
 
+/// `Solver::split` is the pipeline `run` drives: the bound flat solver
+/// started and driven by hand, then `Stage::finish`, gives the same
+/// bytes. The island setups do not depend on the graph, so the unsplit
+/// solver reports the bound one's; a flat solver splits into a no-op.
 #[test]
-fn multilevel_polish_never_worsens_and_stays_deterministic() {
+fn multilevel_split_drives_the_same_pipeline_as_run() {
     use ff_engine::MultilevelOpts;
     let g = planted_partition(4, 80, 0.15, 0.005, 17);
-    let run = |polish: u64| {
+    let solver = || {
         Solver::on(&g)
             .k(4)
+            .islands(2)
             .steps(1_500)
             .seed(23)
             .multilevel(MultilevelOpts {
                 coarsen_until: 50,
-                polish_steps: polish,
                 ..Default::default()
             })
-            .run()
-            .unwrap()
     };
-    let plain = run(0);
-    let polished = run(1_000);
-    assert!(polished.best_value <= plain.best_value);
-    assert!(polished.steps > plain.steps, "polish steps are counted");
-    let polished2 = run(1_000);
-    assert_eq!(polished2.best.assignment(), polished.best.assignment());
-    assert_eq!(polished2.best_value, polished.best_value);
+    let whole = solver().run().unwrap();
+    let setups = solver().island_setups().unwrap();
+
+    let (flat, stage) = solver().split().unwrap();
+    let vc = stage.vcycle().expect("multilevel stage holds the V-cycle");
+    assert!(vc.num_levels() >= 1);
+    assert_eq!(stage.graph().num_vertices(), vc.coarsest().num_vertices());
+    let bound = stage.bind(flat);
+    assert!(std::ptr::eq(bound.graph(), stage.graph()));
+    let bound_setups = bound.island_setups().unwrap();
+    assert_eq!(bound_setups.len(), setups.len());
+    for (a, b) in bound_setups.iter().zip(&setups) {
+        assert_eq!((a.seed, a.config), (b.seed, b.config));
+    }
+    let mut run = bound.start().unwrap();
+    while run.advance_epoch() {}
+    let harvest = run.harvest();
+    let split = stage.finish(harvest);
+    assert_eq!(split.best.assignment(), whole.best.assignment());
+    assert_eq!(split.best_value.to_bits(), whole.best_value.to_bits());
+    assert_eq!(split.steps, whole.steps);
+    let (a, b) = (split.multilevel.unwrap(), whole.multilevel.unwrap());
+    assert_eq!((a.levels, a.coarse_vertices), (b.levels, b.coarse_vertices));
+
+    let (flat, stage) = Solver::on(&g).k(4).steps(500).split().unwrap();
+    assert!(stage.vcycle().is_none());
+    assert!(std::ptr::eq(stage.graph(), &g));
+    let res = stage.bind(flat).run().unwrap();
+    assert!(stage.finish(res).multilevel.is_none());
 }
 
 /// What the engine asked a [`RecordingHost`] to do, in order.

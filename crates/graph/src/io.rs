@@ -258,15 +258,34 @@ mod tests {
         assert!(graphs_equal(&g, &roundtrip_metis(&g)));
     }
 
+    /// Same CSR arrays and the same bits in every edge and vertex weight:
+    /// what a graph shipped as METIS text must keep for a search on it to
+    /// match the search on the original bit for bit.
+    fn assert_bit_identical(a: &Graph, b: &Graph) {
+        assert_eq!(a.xadj(), b.xadj());
+        assert_eq!(a.adjncy(), b.adjncy());
+        let bits = |w: &[f64]| w.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(a.adjwgt()), bits(b.adjwgt()));
+        let vwgt = |g: &Graph| g.vertices().map(|v| g.vertex_weight(v)).collect::<Vec<_>>();
+        assert_eq!(bits(&vwgt(a)), bits(&vwgt(b)));
+    }
+
     #[test]
     fn metis_roundtrip_weighted() {
         let g = random_geometric(60, 0.25, 9);
-        let h = roundtrip_metis(&g);
-        assert_eq!(g.num_edges(), h.num_edges());
-        for (u, v, w) in g.edges() {
-            let wr = h.edge_weight(u, v).unwrap();
-            assert!((w - wr).abs() < 1e-12, "weight mismatch on ({u},{v})");
-        }
+        assert_bit_identical(&g, &roundtrip_metis(&g));
+    }
+
+    #[test]
+    fn metis_roundtrip_of_a_coarsened_graph_is_bit_exact() {
+        let g = random_geometric(400, 0.12, 5);
+        let h = crate::Hierarchy::build(&g, 40, 3);
+        assert!(h.num_levels() >= 2);
+        let coarse = h.coarsest(&g);
+        // Summed fractional edge weights and merged vertex weights.
+        assert!(coarse.adjwgt().iter().any(|w| w.fract() != 0.0));
+        assert!(coarse.vertices().any(|v| coarse.vertex_weight(v) != 1.0));
+        assert_bit_identical(coarse, &roundtrip_metis(coarse));
     }
 
     #[test]

@@ -103,6 +103,11 @@ impl<'g> Vcycle<'g> {
         self.fine
     }
 
+    /// The options this V-cycle was built with.
+    pub fn opts(&self) -> &VcycleOpts {
+        &self.opts
+    }
+
     /// Projects a partition of [`coarsest`](Self::coarsest) down the stack,
     /// greedily refining under `objective` at every level. Returns the fine
     /// partition plus one [`LevelReport`] per level, coarsest-first.

@@ -452,27 +452,21 @@ impl InstanceCache {
     }
 }
 
-fn read_graph(source: &GraphSource, format: GraphFormat) -> Result<Graph, String> {
-    match source {
+/// Parses the graph `source` holds in `format` — the one reader behind
+/// the cache and the `ffpart` command line.
+pub fn read_graph(source: &GraphSource, format: GraphFormat) -> Result<Graph, String> {
+    let (input, origin): (Box<dyn std::io::Read>, &str) = match source {
         GraphSource::Path(path) => {
             let file = std::fs::File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
-            match format {
-                GraphFormat::Metis => {
-                    ff_graph::io::read_metis(file).map_err(|e| format!("{path}: {e}"))
-                }
-                GraphFormat::EdgeList => {
-                    ff_graph::io::read_edge_list(file).map_err(|e| format!("{path}: {e}"))
-                }
-            }
+            (Box::new(file), path)
         }
-        GraphSource::Data(text) => match format {
-            GraphFormat::Metis => {
-                ff_graph::io::read_metis(text.as_bytes()).map_err(|e| format!("inline data: {e}"))
-            }
-            GraphFormat::EdgeList => ff_graph::io::read_edge_list(text.as_bytes())
-                .map_err(|e| format!("inline data: {e}")),
-        },
+        GraphSource::Data(text) => (Box::new(text.as_bytes()), "inline data"),
+    };
+    match format {
+        GraphFormat::Metis => ff_graph::io::read_metis(input),
+        GraphFormat::EdgeList => ff_graph::io::read_edge_list(input),
     }
+    .map_err(|e| format!("{origin}: {e}"))
 }
 
 #[cfg(test)]

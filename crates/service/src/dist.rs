@@ -28,6 +28,12 @@
 //! arrive in the same order however the shards are timed. Migration
 //! molecules cross process boundaries as assignment vectors.
 //!
+//! A multilevel run is split the same way in both hosts
+//! ([`Solver::split`]): the coordinator coarsens, ships the coarse graph
+//! to every shard through the ordinary `load` (METIS text, which carries
+//! every f64 weight exactly), drives the islands on it, and refines the
+//! harvest back to the input graph.
+//!
 //! ## Determinism contract
 //!
 //! An island's state is a pure function of its seed and injection
@@ -57,10 +63,11 @@ use std::sync::mpsc::{self, Receiver, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use ff_core::{ConfigError, FusionFissionResult};
+use ff_core::FusionFissionResult;
 use ff_engine::{
     EnsembleResult, IslandHost, IslandSetup, IslandStatus, MigrationPolicyId, ParetoFront, Solver,
 };
+use ff_graph::io::write_metis;
 use ff_graph::Graph;
 use ff_metaheur::AnytimeTrace;
 use ff_partition::{Objective, Partition};
@@ -189,6 +196,8 @@ pub fn solve_distributed(
 /// the [`EnsembleResult`] the in-process run returns. Refuses what
 /// [`wire_setups`] refuses. `on_news` receives each island improvement
 /// exactly once (global island index + point), replays excluded.
+/// A multilevel run's coarse graph is loaded under a key of its own, so a
+/// server caching the fine instance under `instance` keeps it.
 pub fn solve_on_workers(
     solver: Solver<'_>,
     instance: &str,
@@ -199,19 +208,35 @@ pub fn solve_on_workers(
     on_news: &mut dyn FnMut(usize, &WNews),
 ) -> Result<EnsembleResult, String> {
     let setups = wire_setups(&solver)?;
+    let (flat, stage) = solver.split().map_err(|e| e.to_string())?;
     if let Some(registry) = &opts.obs {
         // Pre-register the coordinator's metric families so a clean run
         // still exposes the full catalog (failure counters at zero).
         crate::obs::dist_families(registry);
     }
+    let (instance, source, format) = match stage.vcycle().filter(|vc| vc.num_levels() > 0) {
+        Some(vc) => {
+            // The key names what the coarse graph depends on.
+            let o = vc.opts();
+            let key = format!(
+                "{instance}#coarse:{}:{}:{}",
+                o.coarsen_until, o.seed, o.min_coarse_vertices
+            );
+            let mut text = Vec::new();
+            write_metis(vc.coarsest(), &mut text).map_err(|e| e.to_string())?;
+            let text = String::from_utf8(text).map_err(|e| e.to_string())?;
+            (key, GraphSource::Data(text), GraphFormat::Metis)
+        }
+        None => (instance.to_string(), source.clone(), format),
+    };
     let load = Request::Load {
-        instance: instance.to_string(),
-        source: source.clone(),
+        instance: instance.clone(),
+        source,
         format,
     };
-    let conns = open_shards(&setups, load, instance, workers, opts)?;
+    let conns = open_shards(&setups, load, &instance, workers, opts)?;
     let host = RemoteIslands {
-        g: solver.graph(),
+        g: stage.graph(),
         conns,
         objectives: setups.iter().map(|s| s.config.objective).collect(),
         traces: setups
@@ -222,23 +247,21 @@ pub fn solve_on_workers(
         opts,
         on_news,
     };
-    let mut run = solver.start_on(host).map_err(|e| e.to_string())?;
+    let mut run = stage.bind(flat).start_on(host).map_err(|e| e.to_string())?;
     while run.try_advance_epoch()? {}
-    run.try_harvest()
+    let harvest = run.try_harvest()?;
+    Ok(stage.finish(harvest))
 }
 
 /// The islands `solver` starts, checked against what a worker session
 /// can host: each must be exactly the one configuration the wire
 /// expresses — the standard parameters for `k`, its objective and a pure
-/// step budget — with no warm start, on a flat (not multilevel) run.
-/// Every refusal to distribute a configuration comes from here.
+/// step budget — with no warm start. Every refusal to distribute a
+/// configuration comes from here.
 pub fn wire_setups(solver: &Solver<'_>) -> Result<Vec<IslandSetup>, String> {
-    let setups = solver.island_setups().map_err(|e| match e {
-        ConfigError::MultilevelNotResumable => {
-            "distributed islands do not support multilevel runs yet".to_string()
-        }
-        e => format!("invalid configuration: {e}"),
-    })?;
+    let setups = solver
+        .island_setups()
+        .map_err(|e| format!("invalid configuration: {e}"))?;
     for setup in &setups {
         let cfg = setup.config;
         if cfg.stop.max_time != Duration::MAX {

@@ -284,7 +284,8 @@ mod wire;
 mod wsession;
 
 pub use cache::{
-    CacheEntryInfo, CacheStats, GraphFormat, GraphSource, InstanceCache, LoadOutcome, PinnedGraph,
+    read_graph, CacheEntryInfo, CacheStats, GraphFormat, GraphSource, InstanceCache, LoadOutcome,
+    PinnedGraph,
 };
 pub use client::{Client, JobCanceller, SubmitOutcome};
 pub use dist::{solve_distributed, solve_on_workers, wire_setups, DistOpts, DistSpec, WorkerSet};

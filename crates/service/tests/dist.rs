@@ -5,11 +5,12 @@
 
 use std::time::Duration;
 
-use ff_engine::{Combine, MigrationPolicyId, ParetoFront, Solver};
-use ff_graph::io::read_metis;
+use ff_engine::{Combine, EnsembleResult, MigrationPolicyId, MultilevelOpts, ParetoFront, Solver};
+use ff_graph::io::{read_metis, write_metis};
+use ff_graph::Graph;
 use ff_partition::Objective;
 use ff_service::dist::{solve_distributed, DistOpts, DistSpec, WorkerSet};
-use ff_service::{GraphFormat, GraphSource};
+use ff_service::{solve_on_workers, GraphFormat, GraphSource};
 
 const GRID: &str = "9 12\n2 4\n1 3 5\n2 6\n1 5 7\n2 4 6 8\n3 5 9\n4 8\n5 7 9\n6 8\n";
 
@@ -153,6 +154,95 @@ fn improvement_stream_reports_each_island_once_in_order() {
         for pair in mine.windows(2) {
             assert!(pair[1].1 > pair[0].1, "steps must increase");
             assert!(pair[1].2 < pair[0].2, "values must improve");
+        }
+    }
+}
+
+/// A multilevel solver on `g` that coarsens to at most 60 vertices:
+/// `islands` islands cycling `objectives`, Pareto-reduced when there
+/// are several.
+fn multilevel_solver<'g>(g: &'g Graph, islands: usize, objectives: &[Objective]) -> Solver<'g> {
+    let solver = Solver::on(g)
+        .k(4)
+        .islands(islands)
+        .objectives(objectives.to_vec())
+        .steps(3_000)
+        .seed(13)
+        .multilevel(MultilevelOpts {
+            coarsen_until: 60,
+            ..Default::default()
+        });
+    if objectives.len() > 1 {
+        solver.reduction(ParetoFront)
+    } else {
+        solver
+    }
+}
+
+fn run_multilevel_on_workers(solver: Solver<'_>, workers: usize) -> EnsembleResult {
+    let mut text = Vec::new();
+    write_metis(solver.graph(), &mut text).unwrap();
+    solve_on_workers(
+        solver,
+        "planted",
+        &GraphSource::Data(String::from_utf8(text).unwrap()),
+        GraphFormat::Metis,
+        &WorkerSet::Spawn {
+            cmd: worker_cmd(),
+            count: workers,
+        },
+        &DistOpts {
+            reply_timeout: Duration::from_secs(120),
+            ..DistOpts::default()
+        },
+        &mut |_, _| {},
+    )
+    .unwrap()
+}
+
+/// The multilevel pipeline with remote islands: the coordinator coarsens,
+/// ships the coarse graph, and refines the harvest — byte-identical to
+/// the in-process run for any worker count, the per-point Pareto refine
+/// included.
+#[test]
+fn distributed_multilevel_matches_in_process_for_any_worker_count() {
+    let g = ff_graph::generators::planted_partition(4, 60, 0.2, 0.01, 9);
+    for objectives in [&[Objective::MCut][..], &[Objective::Cut, Objective::MCut]] {
+        let local = multilevel_solver(&g, 3, objectives).run().unwrap();
+        let info = local.multilevel.as_ref().unwrap();
+        assert!(info.levels >= 1 && info.coarse_vertices <= 60);
+        for workers in [1, 2, 3] {
+            let dist = run_multilevel_on_workers(multilevel_solver(&g, 3, objectives), workers);
+            let what = format!("{objectives:?} on {workers} workers");
+            assert_eq!(dist.best.assignment(), local.best.assignment(), "{what}");
+            assert_eq!(
+                dist.best_value.to_bits(),
+                local.best_value.to_bits(),
+                "{what}"
+            );
+            assert_eq!(dist.best_island, local.best_island, "{what}");
+            assert_eq!(dist.steps, local.steps, "{what}");
+            assert_eq!(dist.migrations_adopted, local.migrations_adopted, "{what}");
+            let dinfo = dist.multilevel.as_ref().unwrap();
+            assert_eq!(
+                (dinfo.levels, dinfo.coarse_vertices),
+                (info.levels, info.coarse_vertices),
+                "{what}"
+            );
+            assert_eq!(dinfo.reports.len(), info.reports.len(), "{what}");
+            match (&dist.pareto, &local.pareto) {
+                (Some(a), Some(b)) => {
+                    assert_eq!(a.points.len(), b.points.len(), "{what}");
+                    for (pa, pb) in a.points.iter().zip(&b.points) {
+                        assert_eq!(pa.island, pb.island, "{what}");
+                        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                        assert_eq!(bits(&pa.values), bits(&pb.values), "{what}");
+                        assert_eq!(pa.partition.assignment(), pb.partition.assignment());
+                    }
+                }
+                (None, None) => assert_eq!(objectives.len(), 1),
+                _ => panic!("{what}: pareto front on one side only"),
+            }
         }
     }
 }

@@ -9,11 +9,11 @@ use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use ff_engine::{EnsembleResult, MigrationPolicyId, Solver};
-use ff_graph::io::read_metis;
+use ff_engine::{EnsembleResult, MigrationPolicyId, MultilevelOpts, Solver};
+use ff_graph::io::{read_metis, write_metis};
 use ff_partition::Objective;
 use ff_service::dist::{solve_distributed, DistOpts, DistSpec, WorkerSet};
-use ff_service::{GraphFormat, GraphSource};
+use ff_service::{solve_on_workers, GraphFormat, GraphSource};
 
 const GRID: &str = "9 12\n2 4\n1 3 5\n2 6\n1 5 7\n2 4 6 8\n3 5 9\n4 8\n5 7 9\n6 8\n";
 
@@ -141,6 +141,50 @@ fn crash_before_first_epoch_completes_is_replayed() {
     assert!(flag.exists(), "fault never fired");
     let _ = std::fs::remove_file(&flag);
     assert_identical(&faulted, &clean, "die@0");
+}
+
+/// A multilevel run's op log starts with the coarse graph's `load`
+/// (inline METIS text the coordinator built): a worker that dies after
+/// it is respawned, reloads the coarse graph from the log, and replays
+/// to the bytes of the in-process run.
+#[test]
+fn multilevel_crash_after_the_coarse_load_is_replayed() {
+    let g = ff_graph::generators::planted_partition(4, 60, 0.2, 0.01, 9);
+    let solver = || {
+        Solver::on(&g)
+            .k(4)
+            .islands(3)
+            .steps(3_000)
+            .seed(13)
+            .multilevel(MultilevelOpts {
+                coarsen_until: 60,
+                ..Default::default()
+            })
+    };
+    let clean = solver().run().unwrap();
+    let mut text = Vec::new();
+    write_metis(&g, &mut text).unwrap();
+    let flag = flag_path("ml-die-epoch1");
+    let fault = format!("die@1,flag={}", flag.display());
+    let faulted = solve_on_workers(
+        solver(),
+        "planted",
+        &GraphSource::Data(String::from_utf8(text).unwrap()),
+        GraphFormat::Metis,
+        &WorkerSet::Spawn {
+            cmd: worker_cmd(),
+            count: 2,
+        },
+        &opts_with_fault(&fault, Duration::from_secs(120)),
+        &mut |_, _| {},
+    )
+    .unwrap();
+    assert!(flag.exists(), "fault never fired");
+    let _ = std::fs::remove_file(&flag);
+    assert_identical(&faulted, &clean, "multilevel die@1");
+    let (a, b) = (faulted.multilevel.unwrap(), clean.multilevel.unwrap());
+    assert!(b.levels >= 1);
+    assert_eq!((a.levels, a.coarse_vertices), (b.levels, b.coarse_vertices));
 }
 
 /// `kill -9` from outside, mid-run, with no flag file and no
